@@ -201,27 +201,4 @@ void SweepJournal::append(const std::string& key,
   }
 }
 
-std::map<std::string, std::vector<std::uint8_t>> SweepJournal::read_completed(
-    const std::string& path, std::uint64_t fingerprint) {
-  std::string content;
-  try {
-    content = read_file(path);
-  } catch (const std::runtime_error&) {
-    return {};  // no journal: nothing completed
-  }
-  std::size_t valid_bytes = 0;
-  return parse_journal(content, path, fingerprint, valid_bytes);
-}
-
-void SweepJournal::write_merged(
-    const std::string& path, std::uint64_t fingerprint,
-    const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>&
-        entries) {
-  std::string content = header_line(fingerprint);
-  for (const auto& [key, payload] : entries) {
-    content += entry_line(key, payload);
-  }
-  write_text_atomic(path, content);
-}
-
 }  // namespace msim::persist

@@ -11,18 +11,14 @@
 // The payload is an opaque hex-encoded persist::Archive blob -- the journal
 // does not know what a MixResult is.
 //
-// Process-isolated sweeps (robust::SweepSupervisor) give every worker its
-// own journal shard at `<path>.shard<slot>` in this same format; the
-// supervisor merges the shards back into `<path>` in fixed grid order once
-// the sweep completes, so a resume — even after `kill -9` of the supervisor
-// itself — replays the union of the merged journal and any surviving
-// shards byte-identically.
+// A sweep's journal has exactly one writer, the process that called
+// sim::run_sweep, on every execution backend: forked sweep workers hand
+// their cells back over the supervisor's pipe instead of writing files.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace msim::persist {
@@ -53,31 +49,9 @@ class SweepJournal {
 
   [[nodiscard]] std::size_t loaded_entries() const noexcept { return entries_.size(); }
 
-  /// All loaded entries, keyed by cell.  Like find(), this reflects the
-  /// load-time state only, never this process's own appends.
-  [[nodiscard]] const std::map<std::string, std::vector<std::uint8_t>>& entries()
-      const noexcept {
-    return entries_;
-  }
-
   /// Durably appends one completed-cell record.  NOT thread-safe: callers
   /// running cells in parallel serialize appends under their own mutex.
   void append(const std::string& key, const std::vector<std::uint8_t>& payload);
-
-  /// Read-only load of a journal's completed entries: validates the header
-  /// (PersistError on version/fingerprint mismatch), tolerates a torn tail
-  /// without modifying the file, and returns empty for a missing file.
-  /// Used by the sweep supervisor to union the merged journal with worker
-  /// shards without holding any of them open for appending.
-  [[nodiscard]] static std::map<std::string, std::vector<std::uint8_t>>
-  read_completed(const std::string& path, std::uint64_t fingerprint);
-
-  /// Atomically replaces `path` with a fresh journal holding `entries` in
-  /// the given order (the supervisor's fixed-grid-order merge).  Readers
-  /// see either the old journal or the complete merged one, never a mix.
-  static void write_merged(
-      const std::string& path, std::uint64_t fingerprint,
-      const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>& entries);
 
  private:
   std::string path_;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -21,7 +20,6 @@
 #include "common/check.hpp"
 #include "common/json.hpp"
 #include "obs/progress.hpp"
-#include "persist/journal.hpp"
 #include "persist/signal.hpp"
 
 namespace msim::robust {
@@ -57,7 +55,6 @@ std::string describe_wait_status(int status) {
 /// Everything the forked child needs; plain values so fork() hands each
 /// incarnation a private copy.
 struct WorkerArgs {
-  unsigned slot = 0;
   unsigned incarnation = 0;
   int pipe_fd = -1;
   std::vector<std::size_t> cells;  // remaining shard, grid order
@@ -69,21 +66,7 @@ struct WorkerArgs {
                               const WorkerArgs& args, const CellFn& cell_fn) {
   persist::reset_signals_in_forked_child();
 
-  // Private shard journal: replaying it first means work journaled just
-  // before a death is reported, not repeated.
-  std::unique_ptr<persist::SweepJournal> shard;
-  if (!config.journal_path.empty()) {
-    try {
-      shard = std::make_unique<persist::SweepJournal>(
-          SweepSupervisor::shard_path(config.journal_path, args.slot),
-          config.journal_fingerprint, /*resume=*/true);
-    } catch (const std::exception&) {
-      _exit(10);  // unusable shard journal: the supervisor sees a death
-    }
-  }
-
   std::mutex pipe_mu;  // frames must not interleave with heartbeats
-  std::atomic<std::uint64_t> current_cell{kNoCell};
   std::atomic<bool> stop_heartbeat{false};
 
   auto send = [&](WorkerMsg type, const std::vector<std::uint8_t>& payload) {
@@ -93,21 +76,12 @@ struct WorkerArgs {
     }
   };
 
-  {
-    std::vector<std::uint8_t> hello;
-    put_u32(hello, args.slot);
-    put_u32(hello, args.incarnation);
-    send(WorkerMsg::kHello, hello);
-  }
-
   std::thread heartbeat([&] {
     while (!stop_heartbeat.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(config.tuning.heartbeat_interval_ms));
       if (stop_heartbeat.load(std::memory_order_relaxed)) break;
-      std::vector<std::uint8_t> beat;
-      put_u64(beat, current_cell.load(std::memory_order_relaxed));
-      send(WorkerMsg::kHeartbeat, beat);
+      send(WorkerMsg::kHeartbeat, {});
     }
   });
   auto quiesce = [&] {
@@ -115,27 +89,7 @@ struct WorkerArgs {
   };
 
   for (const std::size_t cell : args.cells) {
-    const std::string key = config.cell_label ? config.cell_label(cell)
-                                              : std::to_string(cell);
-    if (shard != nullptr) {
-      if (const std::vector<std::uint8_t>* replay = shard->find(key)) {
-        std::vector<std::uint8_t> done;
-        put_u64(done, cell);
-        done.push_back(1);          // ok
-        put_u32(done, 0);           // attempts live inside the payload
-        put_string(done, "");
-        put_bytes(done, *replay);
-        send(WorkerMsg::kCellDone, done);
-        continue;
-      }
-    }
-
-    {
-      std::vector<std::uint8_t> start;
-      put_u64(start, cell);
-      send(WorkerMsg::kCellStart, start);
-    }
-    current_cell.store(cell, std::memory_order_relaxed);
+    send(WorkerMsg::kCellStart, encode_cell_start(cell));
 
     if (const WorkerFault* fault = config.chaos.fault_for(cell)) {
       if (fault->persistent || args.incarnation == 0) {
@@ -153,24 +107,7 @@ struct WorkerArgs {
       outcome.ok = false;
       outcome.error = "unknown exception in sweep cell";
     }
-
-    if (outcome.ok && shard != nullptr) {
-      try {
-        shard->append(key, outcome.payload);
-      } catch (const std::exception& e) {
-        outcome.ok = false;
-        outcome.error = std::string("shard journal append failed: ") + e.what();
-      }
-    }
-
-    std::vector<std::uint8_t> done;
-    put_u64(done, cell);
-    done.push_back(outcome.ok ? 1 : 0);
-    put_u32(done, outcome.attempts);
-    put_string(done, outcome.error);
-    put_bytes(done, outcome.payload);
-    send(WorkerMsg::kCellDone, done);
-    current_cell.store(kNoCell, std::memory_order_relaxed);
+    send(WorkerMsg::kCellDone, encode_cell_done(cell, outcome));
   }
 
   send(WorkerMsg::kShardDone, {});
@@ -199,11 +136,6 @@ struct WorkerSlot {
 
 }  // namespace
 
-std::string SweepSupervisor::shard_path(const std::string& journal_path,
-                                        unsigned slot) {
-  return journal_path + ".shard" + std::to_string(slot);
-}
-
 SweepSupervisor::SweepSupervisor(SupervisorConfig config)
     : config_(std::move(config)) {
   MSIM_CHECK(config_.workers >= 1);
@@ -212,11 +144,11 @@ SweepSupervisor::SweepSupervisor(SupervisorConfig config)
 SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
   SupervisorReport report;
   const unsigned workers = config_.workers;
+  const CellListener& listener = config_.listener;
 
   std::set<std::size_t> done(config_.completed.begin(), config_.completed.end());
   std::set<std::size_t> exhausted;
   std::map<std::size_t, unsigned> cell_deaths;
-  std::size_t done_count = done.size();
 
   auto publish = [&](obs::ProgressEvent event) {
     if (config_.progress_bus != nullptr) config_.progress_bus->publish(event);
@@ -250,7 +182,6 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
                                std::strerror(errno));
     }
     WorkerArgs args;
-    args.slot = slot_index;
     args.incarnation = slot.incarnations;
     args.pipe_fd = fds[1];
     args.cells = cells;
@@ -308,44 +239,23 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
   auto handle_frame = [&](unsigned slot_index, const Frame& frame) {
     WorkerSlot& slot = slots[slot_index];
     slot.last_msg = Clock::now();
-    FieldReader fields(frame.payload);
     switch (frame.type) {
-      case WorkerMsg::kHello:
-        (void)fields.u32();
-        (void)fields.u32();
-        break;
       case WorkerMsg::kHeartbeat:
-        (void)fields.u64();
         break;
       case WorkerMsg::kCellStart: {
-        const std::uint64_t cell = fields.u64();
+        const std::uint64_t cell = decode_cell_start(frame.payload);
         slot.in_flight = cell;
-        slot.cell_started = Clock::now();
-        obs::ProgressEvent event(obs::ProgressKind::kCellStart);
-        event.label = label_of(cell);
-        event.total = config_.total_cells;
-        event.done = done_count;
-        publish(event);
+        slot.cell_started = slot.last_msg;
+        if (listener.started) listener.started(static_cast<std::size_t>(cell));
         break;
       }
       case WorkerMsg::kCellDone: {
-        const std::uint64_t cell = fields.u64();
-        CellOutcome outcome;
-        outcome.ok = fields.u8() != 0;
-        outcome.attempts = fields.u32();
-        outcome.error = fields.string();
-        outcome.payload = fields.bytes();
+        auto [cell, outcome] = decode_cell_done(frame.payload);
         if (slot.in_flight == cell) slot.in_flight = kNoCell;
-        if (done.insert(cell).second) {
-          ++done_count;
-          report.outcomes[cell] = std::move(outcome);
-          obs::ProgressEvent event(obs::ProgressKind::kCellFinish);
-          event.label = label_of(cell);
-          event.total = config_.total_cells;
-          event.done = done_count;
-          event.ok = report.outcomes[cell].ok;
-          if (!event.ok) event.detail = report.outcomes[cell].error;
-          publish(event);
+        const auto index = static_cast<std::size_t>(cell);
+        if (done.insert(index).second) {
+          if (listener.finished) listener.finished(index, outcome);
+          report.outcomes[index] = std::move(outcome);
         }
         break;
       }
@@ -401,7 +311,6 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
     const unsigned deaths_here = ++cell_deaths[static_cast<std::size_t>(victim)];
     if (deaths_here > config_.retries) {
       exhausted.insert(static_cast<std::size_t>(victim));
-      ++done_count;
       SupervisorFailure failure;
       failure.cell = static_cast<std::size_t>(victim);
       failure.attempts = deaths_here;
@@ -420,20 +329,11 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
         w.end_object();
       }
       failure.diag = diag.str();
+      if (listener.exhausted) listener.exhausted(failure);
       report.process_failures.push_back(std::move(failure));
-      obs::ProgressEvent event(obs::ProgressKind::kCellFinish);
-      event.label = label_of(static_cast<std::size_t>(victim));
-      event.total = config_.total_cells;
-      event.done = done_count;
-      event.ok = false;
-      event.detail = report.process_failures.back().error;
-      publish(event);
-    } else {
-      obs::ProgressEvent event(obs::ProgressKind::kCellRetry);
-      event.label = label_of(static_cast<std::size_t>(victim));
-      event.ok = false;
-      event.detail = how + "; retrying after backoff";
-      publish(event);
+    } else if (listener.retrying) {
+      listener.retrying(static_cast<std::size_t>(victim),
+                        how + "; retrying after backoff");
     }
     const std::uint64_t delay =
         config_.tuning.backoff.delay_ms(slot_index, slot.deaths);

@@ -13,13 +13,12 @@
 // fault-free run at any worker count, because cells never share mutable
 // state and the shard assignment depends only on the grid.
 //
-// Durability: when a journal path is configured, each worker appends
-// finished cells to its own shard journal `<path>.shard<slot>` (PR 5
-// format, persist/journal.hpp).  A respawned worker replays its shard
-// before running anything, so work journaled just before a death is never
-// repeated even if the CellDone message was lost with the pipe.  The
-// caller (sim::run_sweep) merges shards into the main journal in fixed
-// grid order once the sweep finishes.
+// Workers write nothing to disk.  Every finished cell reaches the
+// supervisor as a frame and goes to CellListener::finished on the thread
+// that called run(), so the caller (sim::run_sweep) journals it there and
+// stays the only writer of its journal.  A reaped worker's pipe is drained
+// before its death is judged, so a cell it reported is never run again; the
+// respawned worker runs only the cells still missing.
 //
 // The supervisor is policy-free about what a cell *is*: the caller supplies
 // a CellFn that runs one cell inside the worker process and returns an
@@ -43,17 +42,6 @@ class ProgressBus;
 
 namespace msim::robust {
 
-/// What one cell produced inside a worker.  `payload` is opaque to the
-/// supervisor and only meaningful when `ok`; `attempts`/`error` describe
-/// in-worker (isolated-cell) retries, which are invisible to the
-/// supervisor's own death accounting.
-struct CellOutcome {
-  bool ok = true;
-  std::string error;
-  std::uint32_t attempts = 1;
-  std::vector<std::uint8_t> payload;
-};
-
 /// Runs one grid cell.  Invoked inside the worker process only; must not
 /// throw (wrap failures into an ok=false outcome).
 using CellFn = std::function<CellOutcome(std::size_t cell)>;
@@ -64,6 +52,27 @@ struct SupervisorTuning {
   std::uint64_t heartbeat_interval_ms = 25;  ///< worker beat period
   std::uint64_t heartbeat_timeout_ms = 2000; ///< silence before SIGKILL
   BackoffPolicy backoff;                     ///< respawn delay policy
+};
+
+/// A cell that exhausted its supervisor-level retries.
+struct SupervisorFailure {
+  std::size_t cell = 0;
+  std::string error;       ///< one-line cause ("worker killed by signal 9 ...")
+  std::uint32_t attempts = 0;  ///< worker deaths charged to this cell
+  std::string diag;        ///< JSON diagnostic bundle (slot, deaths, reason)
+};
+
+/// Cell lifecycle as the supervisor observes it, reported on the thread
+/// that called run(), as it happens.  Any member may be empty.
+struct CellListener {
+  /// A worker began running `cell`.
+  std::function<void(std::size_t cell)> started;
+  /// A worker died running `cell`; the cell runs again after the backoff.
+  std::function<void(std::size_t cell, const std::string& why)> retrying;
+  /// `cell` finished inside a worker, successfully or not.
+  std::function<void(std::size_t cell, const CellOutcome& outcome)> finished;
+  /// A cell ran out of retries on worker deaths.
+  std::function<void(const SupervisorFailure& failure)> exhausted;
 };
 
 struct SupervisorConfig {
@@ -79,11 +88,6 @@ struct SupervisorConfig {
   SupervisorTuning tuning;
   /// Deterministic fault-injection schedule executed by the workers.
   ChaosPlan chaos;
-  /// Main journal path; shards live at `<path>.shard<slot>`.  Empty
-  /// disables worker-side journaling (respawns then rely on the
-  /// supervisor's in-memory done set alone).
-  std::string journal_path;
-  std::uint64_t journal_fingerprint = 0;
   /// Cells already completed before this run (journal resume): never
   /// assigned to a worker.
   std::vector<std::size_t> completed;
@@ -92,28 +96,19 @@ struct SupervisorConfig {
   bool watch_signals = false;
   /// Cooperative per-sweep cancellation (sim::RunConfig::cancel, the serve
   /// daemon): when the flag goes true the supervisor SIGKILLs and reaps
-  /// every worker, then throws persist::Cancelled.  Journaled shard cells
-  /// survive on disk, so a resumed sweep replays them.  Not owned, may be
+  /// every worker, then throws persist::Cancelled.  Not owned, may be
   /// nullptr.
   const std::atomic<bool>* cancel = nullptr;
-  obs::ProgressBus* progress_bus = nullptr;  ///< optional, not owned
-  /// Human-readable cell key; doubles as the shard-journal entry key, so it
-  /// must match the key the caller uses for journal replay.
+  /// Worker spawn/death/exit events.  Optional, not owned.
+  obs::ProgressBus* progress_bus = nullptr;
+  /// Human-readable cell key for diagnostic bundles.
   std::function<std::string(std::size_t)> cell_label;
-};
-
-/// A cell that exhausted its supervisor-level retries.
-struct SupervisorFailure {
-  std::size_t cell = 0;
-  std::string error;       ///< one-line cause ("worker killed by signal 9 ...")
-  std::uint32_t attempts = 0;  ///< worker deaths charged to this cell
-  std::string diag;        ///< JSON diagnostic bundle (slot, deaths, reason)
+  CellListener listener;
 };
 
 struct SupervisorReport {
-  /// Outcomes for every cell that ran (or replayed from a shard journal)
-  /// under this supervisor, keyed by grid index.  Excludes
-  /// `config.completed` cells and exhausted cells.
+  /// Outcomes for every cell that ran under this supervisor, keyed by grid
+  /// index.  Excludes `config.completed` cells and exhausted cells.
   std::map<std::size_t, CellOutcome> outcomes;
   std::vector<SupervisorFailure> process_failures;
   unsigned workers_spawned = 0;  ///< forks, including respawns
@@ -129,10 +124,6 @@ class SweepSupervisor {
   /// persist::Interrupted (after killing and reaping all workers) when
   /// watch_signals is set and a signal arrives.
   SupervisorReport run(const CellFn& cell_fn);
-
-  /// `<journal_path>.shard<slot>`: one worker's private journal.
-  [[nodiscard]] static std::string shard_path(const std::string& journal_path,
-                                              unsigned slot);
 
  private:
   SupervisorConfig config_;

@@ -3,96 +3,65 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 
 #include <unistd.h>
 
+#include "common/archive.hpp"
+
 namespace msim::robust {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
+namespace {
+
+/// The kCellDone fields, streamed in both directions by one function so
+/// the encoder and the decoder cannot drift apart.
+void io_cell_done(persist::Archive& ar, std::uint64_t& cell, CellOutcome& outcome) {
+  ar.io(cell);
+  ar.io(outcome.ok);
+  ar.io(outcome.attempts);
+  ar.io(outcome.error);
+  ar.io(outcome.payload);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
+}  // namespace
+
+std::vector<std::uint8_t> encode_cell_start(std::uint64_t cell) {
+  persist::Archive ar = persist::Archive::saver();
+  ar.io(cell);
+  return ar.bytes();
 }
 
-void put_bytes(std::vector<std::uint8_t>& out,
-               const std::vector<std::uint8_t>& bytes) {
-  put_u64(out, bytes.size());
-  out.insert(out.end(), bytes.begin(), bytes.end());
+std::uint64_t decode_cell_start(const std::vector<std::uint8_t>& payload) {
+  persist::Archive ar = persist::Archive::loader(payload);
+  std::uint64_t cell = 0;
+  ar.io(cell);
+  ar.expect_end();
+  return cell;
 }
 
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
+std::vector<std::uint8_t> encode_cell_done(std::uint64_t cell,
+                                           const CellOutcome& outcome) {
+  persist::Archive ar = persist::Archive::saver();
+  io_cell_done(ar, cell, const_cast<CellOutcome&>(outcome));
+  return ar.bytes();
 }
 
-std::uint32_t FieldReader::u32() {
-  if (pos_ + 4 > payload_.size()) {
-    throw std::runtime_error("worker protocol: truncated u32 field");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(payload_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t FieldReader::u64() {
-  if (pos_ + 8 > payload_.size()) {
-    throw std::runtime_error("worker protocol: truncated u64 field");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(payload_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::uint8_t FieldReader::u8() {
-  if (pos_ >= payload_.size()) {
-    throw std::runtime_error("worker protocol: truncated u8 field");
-  }
-  return payload_[pos_++];
-}
-
-std::vector<std::uint8_t> FieldReader::bytes() {
-  const std::uint64_t n = u64();
-  if (pos_ + n > payload_.size()) {
-    throw std::runtime_error("worker protocol: truncated bytes field");
-  }
-  std::vector<std::uint8_t> out(payload_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                payload_.begin() +
-                                    static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-std::string FieldReader::string() {
-  const std::uint64_t n = u64();
-  if (pos_ + n > payload_.size()) {
-    throw std::runtime_error("worker protocol: truncated string field");
-  }
-  std::string out(payload_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  payload_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
+std::pair<std::uint64_t, CellOutcome> decode_cell_done(
+    const std::vector<std::uint8_t>& payload) {
+  persist::Archive ar = persist::Archive::loader(payload);
+  std::pair<std::uint64_t, CellOutcome> out;
+  io_cell_done(ar, out.first, out.second);
+  ar.expect_end();
   return out;
 }
 
 void encode_frame(WorkerMsg type, const std::vector<std::uint8_t>& payload,
                   std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(payload.size() + 1));
+  const auto len = static_cast<std::uint32_t>(payload.size() + 1);
+  for (int i = 0; i < 4; ++i) {
+    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+  }
   out.push_back(static_cast<std::uint8_t>(type));
   out.insert(out.end(), payload.begin(), payload.end());
 }

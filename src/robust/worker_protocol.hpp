@@ -5,8 +5,11 @@
 // type byte plus the payload, so a reader can skip unknown types.  Frames
 // are written with a single write() when they fit PIPE_BUF and a retry loop
 // otherwise; the supervisor reassembles them from whatever chunk sizes
-// poll()+read() deliver (FrameReader).  Everything here is transport: the
-// supervisor decides what the messages *mean* (supervisor.hpp).
+// poll()+read() deliver (FrameReader).  Payloads are persist::Archive
+// streams (common/archive.hpp), so a truncated or corrupt payload fails
+// with PersistError like any other bad Archive.  Everything here is
+// transport: the supervisor decides what the messages *mean*
+// (supervisor.hpp).
 //
 // The chaos plan also lives here: a deterministic fault-injection schedule
 // for worker processes ("SIGKILL yourself before grid cell 7"), used by the
@@ -19,51 +22,49 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace msim::robust {
 
 /// Worker-to-supervisor message types.
 enum class WorkerMsg : std::uint8_t {
-  kHello = 1,      ///< worker is alive: {u32 slot, u32 incarnation}
-  kCellStart = 2,  ///< about to run a cell: {u64 cell}
-  kHeartbeat = 3,  ///< liveness tick: {u64 cell} (in-flight cell or ~0)
-  kCellDone = 4,   ///< cell finished: {u64 cell, u8 ok, u32 attempts,
-                   ///<   string error, bytes payload}
+  kCellStart = 2,  ///< about to run a cell: encode_cell_start
+  kHeartbeat = 3,  ///< liveness tick, empty payload
+  kCellDone = 4,   ///< cell finished: encode_cell_done
   kShardDone = 5,  ///< every assigned cell is done; worker exits 0 next
 };
 
+/// What one cell produced inside a worker.  `payload` is opaque to the
+/// supervisor and only meaningful when `ok`; `attempts`/`error` describe
+/// in-worker (isolated-cell) retries, which are invisible to the
+/// supervisor's own death accounting.
+struct CellOutcome {
+  bool ok = true;
+  std::string error;
+  std::uint32_t attempts = 1;
+  std::vector<std::uint8_t> payload;
+};
+
+/// kCellStart payload: the grid index.
+[[nodiscard]] std::vector<std::uint8_t> encode_cell_start(std::uint64_t cell);
+[[nodiscard]] std::uint64_t decode_cell_start(const std::vector<std::uint8_t>& payload);
+
+/// kCellDone payload: the grid index and what the cell produced.
+[[nodiscard]] std::vector<std::uint8_t> encode_cell_done(std::uint64_t cell,
+                                                         const CellOutcome& outcome);
+[[nodiscard]] std::pair<std::uint64_t, CellOutcome> decode_cell_done(
+    const std::vector<std::uint8_t>& payload);
+
 /// One decoded frame.
 struct Frame {
-  WorkerMsg type = WorkerMsg::kHello;
+  WorkerMsg type = WorkerMsg::kHeartbeat;
   std::vector<std::uint8_t> payload;
 };
 
 /// Appends `frame` to `out` in wire format.
 void encode_frame(WorkerMsg type, const std::vector<std::uint8_t>& payload,
                   std::vector<std::uint8_t>& out);
-
-/// Little-endian field helpers for frame payloads.
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-void put_bytes(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& bytes);
-void put_string(std::vector<std::uint8_t>& out, const std::string& s);
-
-/// Sequential payload reader; throws std::runtime_error on truncation.
-class FieldReader {
- public:
-  explicit FieldReader(const std::vector<std::uint8_t>& payload)
-      : payload_(payload) {}
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::vector<std::uint8_t> bytes();
-  [[nodiscard]] std::string string();
-
- private:
-  const std::vector<std::uint8_t>& payload_;
-  std::size_t pos_ = 0;
-};
 
 /// Incremental frame reassembly for one pipe: feed() whatever read()
 /// returned, next() yields complete frames until the buffer runs dry.

@@ -304,8 +304,7 @@ void ExperimentServer::run_job(const std::shared_ptr<Job>& job) {
           sim::build_sweep_request(job->kv, cfg, threads, jobs);
       req.journal_path = job->journal_path;
       // A job recovered mid-sweep resumes from its own journal: completed
-      // cells (main journal + any process-isolation shards, unioned by
-      // run_sweep) replay byte-identically, the rest are computed.
+      // cells replay byte-identically, the rest are computed.
       req.resume = job->resume_sweep && !job->journal_path.empty();
       req.progress_bus = &bus;
       const std::vector<sim::SweepCell> cells =

@@ -13,9 +13,9 @@
 // served result is byte-identical to the offline run of the same config.
 //
 // Sweep jobs inherit the whole robustness stack: isolation=process shards
-// the grid across robust::SweepSupervisor's forked workers, each worker
-// appends to its own journal shard under --journal-dir, and a cancelled
-// job leaves its journal resumable by an offline `msim_cli --resume`.
+// the grid across robust::SweepSupervisor's forked workers, every finished
+// cell is journaled under --journal-dir, and a cancelled job leaves its
+// journal resumable by an offline `msim_cli --resume`.
 //
 // Durability (docs/SERVICE.md "Durability & recovery"): with
 // --journal-dir set, every accepted job and every lifecycle transition is
@@ -24,8 +24,7 @@
 // done jobs re-serve their stored result bytes verbatim, pending jobs
 // re-enter the queue in their original priority/FIFO order, and a sweep
 // that was running when the daemon died resumes from its own sweep
-// journal (main + process-isolation shards), so a kill -9 costs only the
-// in-flight cells.
+// journal, so a kill -9 costs only the in-flight cells.
 //
 // Determinism contract: every simulation byte a client receives is
 // produced by sim::write_run_json / sim::write_sweep_json from a config

@@ -1,10 +1,9 @@
 #include "sim/experiment.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <filesystem>
 #include <future>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -324,110 +323,118 @@ SweepCell aggregate_cell(core::SchedulerKind kind, std::uint32_t iq,
   return cell;
 }
 
-std::string describe(core::SchedulerKind kind, std::uint32_t iq,
-                     std::string_view mix_name) {
-  return std::string(core::scheduler_kind_name(kind)) + " iq=" +
-         std::to_string(iq) + " " + std::string(mix_name);
-}
+struct GridPoint {
+  core::SchedulerKind kind;
+  std::uint32_t iq;
+  const trace::WorkloadMix* mix;
+};
 
-}  // namespace
-
-std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& baselines) {
-  MSIM_CHECK(!request.iq_sizes.empty());
-  MSIM_CHECK(request.jobs >= 1);
-  if (request.isolation == SweepIsolation::kProcess) {
-    if (!request.isolate_failures) {
-      throw std::invalid_argument(
-          "isolation=process requires isolate (the supervisor degrades worker "
-          "deaths into per-cell failures, which only partial results can "
-          "report)");
-    }
-  } else {
-    if (request.workers != 0) {
-      throw std::invalid_argument("workers= requires isolation=process");
-    }
-    if (request.cell_timeout_ms != 0) {
-      throw std::invalid_argument("cell_timeout_ms= requires isolation=process");
-    }
-    if (!request.chaos.empty()) {
-      throw std::invalid_argument("chaos= requires isolation=process");
+/// One run_sweep call in flight: the grid, its journal and its results.
+/// Cells run inline on the calling thread (jobs=1), on a ThreadPool, or in
+/// forked workers under robust::SweepSupervisor, but every backend runs a
+/// cell through run_cell() (the one retry loop) and hands the result to
+/// finish(), the one place that journals, reports progress and stores it.
+/// The journal therefore has one writer, this process, and one replay path.
+class SweepExecution {
+ public:
+  SweepExecution(const SweepRequest& request, BaselineCache& baselines,
+                 std::vector<GridPoint> grid)
+      : request_(request),
+        baselines_(baselines),
+        grid_(std::move(grid)),
+        bus_(request.progress_bus),
+        results_(grid_.size()) {
+    if (!request_.journal_path.empty()) {
+      journal_.emplace(request_.journal_path, sweep_fingerprint(request_),
+                       request_.resume);
     }
   }
-  const auto mixes = trace::mixes_for(request.thread_count);
 
-  // The traditional scheduler anchors every speedup; ensure it is present.
-  std::vector<core::SchedulerKind> kinds = request.kinds;
-  const bool traditional_requested =
-      std::find(kinds.begin(), kinds.end(), core::SchedulerKind::kTraditional) !=
-      kinds.end();
-  if (!traditional_requested) {
-    kinds.insert(kinds.begin(), core::SchedulerKind::kTraditional);
-  }
+  SweepExecution(const SweepExecution&) = delete;
+  SweepExecution& operator=(const SweepExecution&) = delete;
 
-  // Flatten the grid kind-major (request order), then iq, then mix: this
-  // fixed enumeration is both the work list and the aggregation order, so
-  // results never depend on which worker finishes first.
-  struct GridPoint {
-    core::SchedulerKind kind;
-    std::uint32_t iq;
-    const trace::WorkloadMix* mix;
-  };
-  std::vector<GridPoint> grid;
-  grid.reserve(kinds.size() * request.iq_sizes.size() * mixes.size());
-  for (const core::SchedulerKind kind : kinds) {
-    for (const std::uint32_t iq : request.iq_sizes) {
-      for (const trace::WorkloadMix& mix : mixes) {
-        grid.push_back({kind, iq, &mix});
+  /// Replays the journaled cells, runs the rest, and returns every result
+  /// in grid order.
+  std::vector<MixResult> run(robust::ChaosPlan chaos) {
+    const std::string label = std::to_string(request_.thread_count) + "T sweep";
+    if (bus_) {
+      obs::ProgressEvent ev(obs::ProgressKind::kSweepStart);
+      ev.label = label;
+      ev.total = grid_.size();
+      bus_->publish(ev);
+    }
+
+    std::vector<std::size_t> todo;
+    std::vector<std::size_t> replayed;
+    for (std::size_t i = 0; i < grid_.size(); ++i) {
+      const std::vector<std::uint8_t>* payload =
+          journal_ ? journal_->find(key_of(i)) : nullptr;
+      if (payload == nullptr) {
+        todo.push_back(i);
+        continue;
       }
+      MixResult m = decode_mix_result(*payload);
+      if (m.mix_name != grid_[i].mix->name) {
+        throw persist::PersistError(
+            "journal entry '" + key_of(i) + "' replays mix '" + m.mix_name +
+            "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
+      }
+      replayed.push_back(i);
+      finish(i, std::move(m), "journal replay");
     }
+    if (!replayed.empty() && request_.progress) {
+      request_.progress("journal: replaying " + std::to_string(replayed.size()) +
+                        " completed cell(s)");
+    }
+
+    if (request_.isolation == SweepIsolation::kProcess) {
+      run_forked(std::move(replayed), std::move(chaos));
+    } else if (request_.jobs == 1) {
+      for (const std::size_t i : todo) run_here(i);
+    } else {
+      run_pool(todo);
+    }
+
+    if (bus_) {
+      obs::ProgressEvent ev(obs::ProgressKind::kSweepFinish);
+      ev.label = label;
+      ev.done = done_;
+      ev.total = grid_.size();
+      bus_->publish(ev);
+    }
+    return std::move(results_);
   }
 
-  // Crash isolation: while the grid executes, MSIM_CHECK failures throw
-  // msim::CheckError instead of aborting the process.  The handler slot is
-  // process-wide, so it is installed once around the whole grid (including
-  // the serial path), never per worker.
-  std::optional<ScopedCheckThrow> check_guard;
-  if (request.isolate_failures) check_guard.emplace();
-
-  const std::uint64_t fingerprint = sweep_fingerprint(request);
-
-  // Crash recovery (thread backend): the journal replays completed cells
-  // (resume) and durably records each newly completed cell before the sweep
-  // moves on.  The process backend manages per-worker journal shards
-  // instead (below).
-  std::optional<persist::SweepJournal> journal;
-  if (request.isolation == SweepIsolation::kThread &&
-      !request.journal_path.empty()) {
-    journal.emplace(request.journal_path, fingerprint, request.resume);
-    if (journal->loaded_entries() != 0 && request.progress) {
-      request.progress("journal: replaying " +
-                       std::to_string(journal->loaded_entries()) +
-                       " completed cell(s)");
-    }
-  }
-  std::mutex journal_mu;
-
-  // Structured progress: sweep/cell milestones with a completion counter.
-  // Sinks see the true completion order (nondeterministic under jobs > 1);
-  // the simulated results stay bit-identical regardless.
-  obs::ProgressBus* bus = request.progress_bus;
-  const std::string sweep_label = std::to_string(request.thread_count) + "T sweep";
-  std::atomic<std::uint64_t> done{0};
-  if (bus) {
-    obs::ProgressEvent ev(obs::ProgressKind::kSweepStart);
-    ev.label = sweep_label;
-    ev.total = grid.size();
-    bus->publish(ev);
+ private:
+  [[nodiscard]] std::string key_of(std::size_t i) const {
+    const GridPoint& p = grid_[i];
+    return std::string(core::scheduler_kind_name(p.kind)) + " iq=" +
+           std::to_string(p.iq) + " " + std::string(p.mix->name);
   }
 
-  auto run_cell = [&](const GridPoint& p) -> MixResult {
-    if (!request.isolate_failures) {
-      return run_mix(*p.mix, p.kind, p.iq, request.base, baselines);
+  [[nodiscard]] MixResult failed_cell(std::size_t i, std::string error,
+                                      unsigned attempts) const {
+    MixResult m;
+    m.mix_name = grid_[i].mix->name;
+    m.ok = false;
+    m.error = std::move(error);
+    m.attempts = attempts;
+    return m;
+  }
+
+  /// Runs cell `i` on `base`, retrying failures under crash isolation.
+  /// Forked workers pass report_retries=false: the progress bus belongs to
+  /// the parent process.
+  [[nodiscard]] MixResult run_cell(std::size_t i, const RunConfig& base,
+                                   bool report_retries) const {
+    const GridPoint& p = grid_[i];
+    if (!request_.isolate_failures) {
+      return run_mix(*p.mix, p.kind, p.iq, base, baselines_);
     }
-    std::string last_error = "unknown failure";
-    for (unsigned attempt = 1; attempt <= request.retries + 1; ++attempt) {
+    std::string last_error;
+    for (unsigned attempt = 1; attempt <= request_.retries + 1; ++attempt) {
       try {
-        MixResult r = run_mix(*p.mix, p.kind, p.iq, request.base, baselines);
+        MixResult r = run_mix(*p.mix, p.kind, p.iq, base, baselines_);
         r.attempts = attempt;
         return r;
       } catch (const persist::Interrupted&) {
@@ -440,275 +447,30 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
         throw;
       } catch (const std::exception& e) {
         last_error = e.what();
-        if (bus && attempt <= request.retries) {
-          obs::ProgressEvent ev(obs::ProgressKind::kCellRetry);
-          ev.label = describe(p.kind, p.iq, p.mix->name);
-          ev.ok = false;
-          ev.detail = last_error;
-          bus->publish(ev);
+        if (report_retries && attempt <= request_.retries) {
+          retrying(i, last_error);
         }
       }
     }
-    MixResult failed;
-    failed.mix_name = p.mix->name;
-    failed.ok = false;
-    failed.error = last_error;
-    failed.attempts = request.retries + 1;
-    return failed;
-  };
+    return failed_cell(i, std::move(last_error), request_.retries + 1);
+  }
 
-  auto run_or_replay_cell = [&](const GridPoint& p) -> MixResult {
-    const std::string key = describe(p.kind, p.iq, p.mix->name);
-    auto finish = [&](const MixResult& r, std::string_view how) {
-      const std::uint64_t completed = done.fetch_add(1) + 1;
-      if (bus) {
-        obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
-        ev.label = key;
-        ev.done = completed;
-        ev.total = grid.size();
-        ev.ok = r.ok;
-        ev.detail = std::string(how);
-        bus->publish(ev);
-      }
-    };
-    if (journal) {
-      // find() only reads entries loaded at construction; appends never
-      // mutate that map, so no lock is needed here.
-      if (const std::vector<std::uint8_t>* payload = journal->find(key)) {
-        MixResult m = decode_mix_result(*payload);
-        if (m.mix_name != p.mix->name) {
-          throw persist::PersistError(
-              "journal entry '" + key + "' replays mix '" + m.mix_name +
-              "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
-        }
-        finish(m, "journal replay");
-        return m;
-      }
-    }
-    if (bus) {
-      obs::ProgressEvent ev(obs::ProgressKind::kCellStart);
-      ev.label = key;
-      bus->publish(ev);
-    }
-    std::optional<obs::ScopeTimer> cell_timer;
-    if (request.timers) cell_timer.emplace(*request.timers, "cell:" + key);
-    MixResult r = run_cell(p);
-    cell_timer.reset();
-    // Failed cells are not recorded: a resume retries them from scratch.
-    if (journal && r.ok) {
-      const std::vector<std::uint8_t> payload = encode_mix_result(r);
-      const std::lock_guard<std::mutex> lock(journal_mu);
-      journal->append(key, payload);
-    }
-    finish(r, "");
-    return r;
-  };
+  /// Inline and pool backends: the cell runs in this process.
+  void run_here(std::size_t i) {
+    started(i);
+    std::optional<obs::ScopeTimer> timer;
+    if (request_.timers) timer.emplace(*request_.timers, "cell:" + key_of(i));
+    MixResult r = run_cell(i, request_.base, /*report_retries=*/true);
+    timer.reset();
+    finish(i, std::move(r), "");
+  }
 
-  std::vector<MixResult> results(grid.size());
-  if (request.isolation == SweepIsolation::kProcess) {
-    const unsigned workers = request.workers == 0 ? request.jobs : request.workers;
-    robust::ChaosPlan chaos;
-    if (!request.chaos.empty()) {
-      chaos = robust::ChaosPlan::parse(request.chaos);
-      for (const robust::WorkerFault& fault : chaos.faults) {
-        if (fault.cell >= grid.size()) {
-          throw std::invalid_argument(
-              "chaos: cell " + std::to_string(fault.cell) +
-              " is outside this sweep's grid of " + std::to_string(grid.size()) +
-              " cells");
-        }
-      }
-    }
-
-    auto key_of = [&](std::size_t i) {
-      return describe(grid[i].kind, grid[i].iq, grid[i].mix->name);
-    };
-
-    // Completed work = the merged journal plus any worker shards that
-    // survived a killed supervisor.  Shards are probed by existence, never
-    // opened for appending: slot files must not spring into being here.
-    std::map<std::string, std::vector<std::uint8_t>> completed;
-    if (!request.journal_path.empty()) {
-      if (request.resume) {
-        completed =
-            persist::SweepJournal::read_completed(request.journal_path, fingerprint);
-        for (unsigned k = 0;; ++k) {
-          const std::string shard =
-              robust::SweepSupervisor::shard_path(request.journal_path, k);
-          if (!std::filesystem::exists(shard)) break;
-          for (auto& [key, payload] :
-               persist::SweepJournal::read_completed(shard, fingerprint)) {
-            completed.emplace(key, std::move(payload));
-          }
-        }
-      } else {
-        // A fresh sweep must not replay stale state from a previous one.
-        (void)std::filesystem::remove(request.journal_path);
-        for (unsigned k = 0;; ++k) {
-          if (!std::filesystem::remove(
-                  robust::SweepSupervisor::shard_path(request.journal_path, k))) {
-            break;
-          }
-        }
-      }
-    }
-
-    std::vector<std::size_t> completed_indices;
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const auto it = completed.find(key_of(i));
-      if (it == completed.end()) continue;
-      MixResult m = decode_mix_result(it->second);
-      if (m.mix_name != grid[i].mix->name) {
-        throw persist::PersistError(
-            "journal entry '" + it->first + "' replays mix '" + m.mix_name +
-            "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
-      }
-      results[i] = std::move(m);
-      completed_indices.push_back(i);
-      const std::uint64_t completed_count = done.fetch_add(1) + 1;
-      if (bus) {
-        obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
-        ev.label = it->first;
-        ev.done = completed_count;
-        ev.total = grid.size();
-        ev.detail = "journal replay";
-        bus->publish(ev);
-      }
-    }
-    if (!completed_indices.empty() && request.progress) {
-      request.progress("journal: replaying " +
-                       std::to_string(completed_indices.size()) +
-                       " completed cell(s)");
-    }
-
-    // Workers inherit this config at fork: no progress bus (its sinks and
-    // streams belong to the parent) and no cooperative signal handling (the
-    // supervisor owns shutdown; forked children reset to SIG_DFL).
-    RunConfig worker_base = request.base;
-    worker_base.progress_bus = nullptr;
-    worker_base.watch_signals = false;
-    // The cancel flag lives in the parent's memory: a forked worker's copy
-    // is frozen at fork time, so cancellation is the supervisor's job (it
-    // polls the flag and SIGKILLs the workers).
-    worker_base.cancel = nullptr;
-    auto cell_fn = [&](std::size_t i) -> robust::CellOutcome {
-      const GridPoint& p = grid[i];
-      MixResult r;
-      std::string last_error = "unknown failure";
-      bool finished = false;
-      for (unsigned attempt = 1; attempt <= request.retries + 1 && !finished;
-           ++attempt) {
-        try {
-          r = run_mix(*p.mix, p.kind, p.iq, worker_base, baselines);
-          r.attempts = attempt;
-          finished = true;
-        } catch (const std::exception& e) {
-          last_error = e.what();
-        }
-      }
-      if (!finished) {
-        r = MixResult{};
-        r.mix_name = p.mix->name;
-        r.ok = false;
-        r.error = last_error;
-        r.attempts = request.retries + 1;
-      }
-      robust::CellOutcome out;
-      out.ok = r.ok;
-      out.error = r.error;
-      out.attempts = r.attempts;
-      out.payload = encode_mix_result(r);
-      return out;
-    };
-
-    robust::SupervisorConfig sc;
-    sc.total_cells = grid.size();
-    sc.workers = workers;
-    sc.retries = request.retries;
-    sc.cell_timeout_ms = request.cell_timeout_ms;
-    sc.tuning.heartbeat_timeout_ms = request.worker_heartbeat_timeout_ms;
-    sc.chaos = std::move(chaos);
-    sc.journal_path = request.journal_path;
-    sc.journal_fingerprint = fingerprint;
-    sc.completed = completed_indices;
-    sc.watch_signals = request.base.watch_signals;
-    sc.cancel = request.base.cancel;
-    sc.progress_bus = bus;
-    sc.cell_label = key_of;
-    robust::SweepSupervisor supervisor(std::move(sc));
-    robust::SupervisorReport report = supervisor.run(cell_fn);
-
-    for (auto& [index, outcome] : report.outcomes) {
-      if (!outcome.payload.empty()) {
-        results[index] = decode_mix_result(outcome.payload);
-      } else {
-        results[index].mix_name = grid[index].mix->name;
-        results[index].ok = false;
-        results[index].error = outcome.error;
-        results[index].attempts = outcome.attempts;
-      }
-    }
-    for (const robust::SupervisorFailure& failure : report.process_failures) {
-      MixResult m;
-      m.mix_name = grid[failure.cell].mix->name;
-      m.ok = false;
-      m.error = failure.error;
-      m.attempts = failure.attempts;
-      m.diag = failure.diag;
-      results[failure.cell] = std::move(m);
-    }
-    done.store(completed_indices.size() + report.outcomes.size() +
-               report.process_failures.size());
-
-    // Merge the shards into the main journal in fixed grid order, reusing
-    // the exact payload bytes the workers journaled, then retire the
-    // shards.  A crash before the merge leaves the shards in place; a
-    // resume unions them right back in.
-    if (!request.journal_path.empty()) {
-      std::vector<std::pair<std::string, std::vector<std::uint8_t>>> merged;
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!results[i].ok) continue;
-        const std::string key = key_of(i);
-        if (const auto cit = completed.find(key); cit != completed.end()) {
-          merged.emplace_back(key, std::move(cit->second));
-        } else if (const auto oit = report.outcomes.find(i);
-                   oit != report.outcomes.end() && oit->second.ok) {
-          merged.emplace_back(key, std::move(oit->second.payload));
-        }
-      }
-      persist::SweepJournal::write_merged(request.journal_path, fingerprint,
-                                          merged);
-      for (unsigned k = 0;; ++k) {
-        if (!std::filesystem::remove(
-                robust::SweepSupervisor::shard_path(request.journal_path, k))) {
-          break;
-        }
-      }
-    }
-  } else if (request.jobs == 1) {
-    // Serial path: today's behavior, including progress notes before each run.
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const GridPoint& p = grid[i];
-      if (request.progress) {
-        request.progress(describe(p.kind, p.iq, p.mix->name));
-      }
-      results[i] = run_or_replay_cell(p);
-    }
-  } else {
-    ThreadPool pool(request.jobs);
-    std::mutex progress_mu;
+  void run_pool(const std::vector<std::size_t>& todo) {
+    ThreadPool pool(request_.jobs);
     std::vector<std::future<void>> pending;
-    pending.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      pending.push_back(pool.submit([&, i] {
-        const GridPoint& p = grid[i];
-        results[i] = run_or_replay_cell(p);
-        if (request.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          request.progress(describe(p.kind, p.iq, p.mix->name) +
-                           (results[i].ok ? "" : " FAILED"));
-        }
-      }));
+    pending.reserve(todo.size());
+    for (const std::size_t i : todo) {
+      pending.push_back(pool.submit([this, i] { run_here(i); }));
     }
     // Drain every worker before rethrowing anything, so completed cells all
     // reach the journal; an interrupt outranks other failures because it is
@@ -731,14 +493,182 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
     if (cancelled) std::rethrow_exception(cancelled);
     if (first_error) std::rethrow_exception(first_error);
   }
-  check_guard.reset();
-  if (bus) {
-    obs::ProgressEvent ev(obs::ProgressKind::kSweepFinish);
-    ev.label = sweep_label;
-    ev.done = done.load();
-    ev.total = grid.size();
-    bus->publish(ev);
+
+  /// Process backend: cells run in forked workers and come back over the
+  /// supervisor's pipe as encoded MixResults.
+  void run_forked(std::vector<std::size_t> replayed, robust::ChaosPlan chaos) {
+    // Workers inherit this config at fork: no progress bus (its sinks and
+    // streams belong to the parent) and no cooperative signal handling (the
+    // supervisor owns shutdown; forked children reset to SIG_DFL).  The
+    // cancel flag lives in the parent's memory: a forked worker's copy is
+    // frozen at fork time, so cancellation is the supervisor's job (it
+    // polls the flag and SIGKILLs the workers).
+    RunConfig worker_base = request_.base;
+    worker_base.progress_bus = nullptr;
+    worker_base.watch_signals = false;
+    worker_base.cancel = nullptr;
+
+    robust::SupervisorConfig sc;
+    sc.total_cells = grid_.size();
+    sc.workers = request_.workers == 0 ? request_.jobs : request_.workers;
+    sc.retries = request_.retries;
+    sc.cell_timeout_ms = request_.cell_timeout_ms;
+    sc.tuning.heartbeat_timeout_ms = request_.worker_heartbeat_timeout_ms;
+    sc.chaos = std::move(chaos);
+    sc.completed = std::move(replayed);
+    sc.watch_signals = request_.base.watch_signals;
+    sc.cancel = request_.base.cancel;
+    sc.progress_bus = bus_;
+    sc.cell_label = [this](std::size_t i) { return key_of(i); };
+    sc.listener.started = [this](std::size_t i) { started(i); };
+    sc.listener.retrying = [this](std::size_t i, const std::string& why) {
+      retrying(i, why);
+    };
+    sc.listener.finished = [this](std::size_t i, const robust::CellOutcome& out) {
+      // An empty payload means the worker's cell function threw.
+      finish(i,
+             out.payload.empty() ? failed_cell(i, out.error, out.attempts)
+                                 : decode_mix_result(out.payload),
+             "");
+    };
+    sc.listener.exhausted = [this](const robust::SupervisorFailure& f) {
+      MixResult m = failed_cell(f.cell, f.error, f.attempts);
+      m.diag = f.diag;
+      finish(f.cell, std::move(m), "");
+    };
+    robust::SweepSupervisor supervisor(std::move(sc));
+    (void)supervisor.run([this, &worker_base](std::size_t i) {
+      const MixResult r = run_cell(i, worker_base, /*report_retries=*/false);
+      robust::CellOutcome out;
+      out.ok = r.ok;
+      out.error = r.error;
+      out.attempts = r.attempts;
+      out.payload = encode_mix_result(r);
+      return out;
+    });
   }
+
+  void started(std::size_t i) const {
+    if (!bus_) return;
+    obs::ProgressEvent ev(obs::ProgressKind::kCellStart);
+    ev.label = key_of(i);
+    bus_->publish(ev);
+  }
+
+  void retrying(std::size_t i, const std::string& why) const {
+    if (!bus_) return;
+    obs::ProgressEvent ev(obs::ProgressKind::kCellRetry);
+    ev.label = key_of(i);
+    ev.ok = false;
+    ev.detail = why;
+    bus_->publish(ev);
+  }
+
+  /// Records a finished cell.  `how` is empty for a cell that just ran and
+  /// names the source of a replayed one.
+  void finish(std::size_t i, MixResult r, std::string_view how) {
+    const std::string key = key_of(i);
+    // Failed cells are not journaled (a resume retries them from scratch);
+    // replayed cells already are.
+    const bool journal_it = journal_ && r.ok && how.empty();
+    const std::vector<std::uint8_t> payload =
+        journal_it ? encode_mix_result(r) : std::vector<std::uint8_t>{};
+    obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
+    {
+      const std::lock_guard<std::mutex> lock(finish_mu_);
+      if (journal_it) journal_->append(key, payload);
+      if (request_.progress && how.empty()) {
+        request_.progress(key + (r.ok ? "" : " FAILED"));
+      }
+      ev.done = ++done_;
+    }
+    if (bus_) {
+      ev.label = key;
+      ev.total = grid_.size();
+      ev.ok = r.ok;
+      ev.detail = r.ok ? std::string(how) : r.error;
+      bus_->publish(ev);
+    }
+    results_[i] = std::move(r);
+  }
+
+  const SweepRequest& request_;
+  BaselineCache& baselines_;
+  const std::vector<GridPoint> grid_;
+  obs::ProgressBus* const bus_;
+  std::optional<persist::SweepJournal> journal_;
+  std::mutex finish_mu_;  ///< guards journal_ appends, done_, request_.progress
+  std::uint64_t done_ = 0;
+  std::vector<MixResult> results_;  ///< slot i written once, by finish(i)
+};
+
+}  // namespace
+
+std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& baselines) {
+  MSIM_CHECK(!request.iq_sizes.empty());
+  MSIM_CHECK(request.jobs >= 1);
+  const auto mixes = trace::mixes_for(request.thread_count);
+
+  // The traditional scheduler anchors every speedup; ensure it is present.
+  std::vector<core::SchedulerKind> kinds = request.kinds;
+  const bool traditional_requested =
+      std::find(kinds.begin(), kinds.end(), core::SchedulerKind::kTraditional) !=
+      kinds.end();
+  if (!traditional_requested) {
+    kinds.insert(kinds.begin(), core::SchedulerKind::kTraditional);
+  }
+
+  // Flatten the grid kind-major (request order), then iq, then mix: this
+  // fixed enumeration is both the work list and the aggregation order, so
+  // results never depend on which worker finishes first.
+  std::vector<GridPoint> grid;
+  grid.reserve(kinds.size() * request.iq_sizes.size() * mixes.size());
+  for (const core::SchedulerKind kind : kinds) {
+    for (const std::uint32_t iq : request.iq_sizes) {
+      for (const trace::WorkloadMix& mix : mixes) {
+        grid.push_back({kind, iq, &mix});
+      }
+    }
+  }
+
+  robust::ChaosPlan chaos;
+  if (request.isolation == SweepIsolation::kProcess) {
+    if (!request.isolate_failures) {
+      throw std::invalid_argument(
+          "isolation=process requires isolate (the supervisor degrades worker "
+          "deaths into per-cell failures, which only partial results can "
+          "report)");
+    }
+    chaos = robust::ChaosPlan::parse(request.chaos);
+    for (const robust::WorkerFault& fault : chaos.faults) {
+      if (fault.cell >= grid.size()) {
+        throw std::invalid_argument(
+            "chaos: cell " + std::to_string(fault.cell) +
+            " is outside this sweep's grid of " + std::to_string(grid.size()) +
+            " cells");
+      }
+    }
+  } else {
+    if (request.workers != 0) {
+      throw std::invalid_argument("workers= requires isolation=process");
+    }
+    if (request.cell_timeout_ms != 0) {
+      throw std::invalid_argument("cell_timeout_ms= requires isolation=process");
+    }
+    if (!request.chaos.empty()) {
+      throw std::invalid_argument("chaos= requires isolation=process");
+    }
+  }
+
+  // Crash isolation: while the grid executes, MSIM_CHECK failures throw
+  // msim::CheckError instead of aborting the process.  The handler slot is
+  // process-wide, so it is installed once around the whole grid (including
+  // the serial path), never per worker.
+  std::optional<ScopedCheckThrow> check_guard;
+  if (request.isolate_failures) check_guard.emplace();
+  std::vector<MixResult> results =
+      SweepExecution(request, baselines, std::move(grid)).run(std::move(chaos));
+  check_guard.reset();
 
   std::vector<SweepCell> cells;
   cells.reserve(kinds.size() * request.iq_sizes.size());

@@ -168,9 +168,9 @@ struct SweepRequest {
   /// Supervisor liveness bound: a worker silent this long is presumed hung
   /// and SIGKILLed (isolation=process).
   std::uint64_t worker_heartbeat_timeout_ms = 2000;
-  /// Optional progress sink (benches report to stderr).  With jobs > 1 it
-  /// is invoked under a lock, one whole message at a time, as cells
-  /// *finish* (completion order is nondeterministic).
+  /// Optional progress sink (benches report to stderr).  Invoked under a
+  /// lock, one whole message at a time, as cells *finish* (completion
+  /// order is nondeterministic when cells run in parallel).
   std::function<void(std::string_view)> progress;
   /// Crash isolation: catch per-cell failures (invariant violations, hang
   /// watchdog, exceptions), retry each failed cell `retries` times, and
@@ -183,11 +183,10 @@ struct SweepRequest {
   /// Crash recovery (src/persist/, docs/CHECKPOINT.md): write-ahead journal
   /// of completed cells ("" = off).  Every finished (kind, iq, mix) cell is
   /// appended durably before the sweep moves on, so a killed sweep loses at
-  /// most the cells in flight.  Under isolation=process every worker
-  /// appends to its own shard `<path>.shard<slot>`; the shards are merged
-  /// into `<path>` in fixed grid order when the sweep finishes, and a
-  /// resume replays the union of the merged journal and any surviving
-  /// shards — byte-identical even after `kill -9` of the supervisor.
+  /// most the cells in flight.  This process is the only writer on every
+  /// backend: under isolation=process each cell is appended as its worker
+  /// reports it, so a resume is byte-identical even after `kill -9` of
+  /// the supervisor.
   std::string journal_path;
   /// Resume from an existing journal at journal_path: completed cells are
   /// replayed from the journal instead of re-simulated (bit-identical, since

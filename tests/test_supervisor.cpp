@@ -13,7 +13,7 @@
 //   4. run_sweep(isolation=process): byte-identical to the thread backend
 //      at any worker count, chaos-faulted sweeps byte-identical on every
 //      surviving cell, failed cells attributed to the exact injected grid
-//      index, journal merge + resume.
+//      index, the sweep process as the journal's one writer + resume.
 //   5. The PR's robustness satellites: SweepJournal torn-tail truncation
 //      and reset_signals_in_forked_child.
 //
@@ -52,17 +52,13 @@ std::string temp_path(const std::string& stem) {
       .string();
 }
 
-/// Removes a temp file (and any sweep-journal shards beside it) even when
-/// an assertion bails out of the test early.
+/// Removes a temp file even when an assertion bails out of the test early.
 class TempFile {
  public:
   explicit TempFile(const std::string& stem) : path_(temp_path(stem)) {}
   ~TempFile() {
     std::error_code ec;
     std::filesystem::remove(path_, ec);
-    for (unsigned k = 0; k < 64; ++k) {
-      std::filesystem::remove(robust::SweepSupervisor::shard_path(path_, k), ec);
-    }
   }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
@@ -129,16 +125,19 @@ TEST(BackoffPolicy, DifferentSlotsJitterDifferently) {
 // 2. Worker protocol + chaos plans
 // ---------------------------------------------------------------------------
 
-TEST(WorkerProtocol, FramesSurviveByteAtATimeDelivery) {
-  std::vector<std::uint8_t> payload;
-  robust::put_u64(payload, 42);
-  payload.push_back(1);
-  robust::put_u32(payload, 3);
-  robust::put_string(payload, "err");
-  robust::put_bytes(payload, {0xde, 0xad, 0xbe, 0xef});
+/// A kCellDone payload with every field away from its default.
+std::vector<std::uint8_t> sample_cell_done() {
+  robust::CellOutcome outcome;
+  outcome.ok = false;
+  outcome.attempts = 3;
+  outcome.error = "err";
+  outcome.payload = {0xde, 0xad, 0xbe, 0xef};
+  return robust::encode_cell_done(42, outcome);
+}
 
+TEST(WorkerProtocol, FramesSurviveByteAtATimeDelivery) {
   std::vector<std::uint8_t> wire;
-  robust::encode_frame(robust::WorkerMsg::kCellDone, payload, wire);
+  robust::encode_frame(robust::WorkerMsg::kCellDone, sample_cell_done(), wire);
   robust::encode_frame(robust::WorkerMsg::kShardDone, {}, wire);
 
   robust::FrameReader reader;
@@ -151,20 +150,26 @@ TEST(WorkerProtocol, FramesSurviveByteAtATimeDelivery) {
   EXPECT_EQ(frames[0].type, robust::WorkerMsg::kCellDone);
   EXPECT_EQ(frames[1].type, robust::WorkerMsg::kShardDone);
 
-  robust::FieldReader fields(frames[0].payload);
-  EXPECT_EQ(fields.u64(), 42u);
-  EXPECT_EQ(fields.u8(), 1);
-  EXPECT_EQ(fields.u32(), 3u);
-  EXPECT_EQ(fields.string(), "err");
-  EXPECT_EQ(fields.bytes(), (std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef}));
+  const auto [cell, outcome] = robust::decode_cell_done(frames[0].payload);
+  EXPECT_EQ(cell, 42u);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.attempts, 3u);
+  EXPECT_EQ(outcome.error, "err");
+  EXPECT_EQ(outcome.payload, (std::vector<std::uint8_t>{0xde, 0xad, 0xbe, 0xef}));
+  EXPECT_EQ(robust::decode_cell_start(robust::encode_cell_start(7)), 7u);
 }
 
 TEST(WorkerProtocol, TruncatedPayloadThrowsInsteadOfReadingGarbage) {
-  std::vector<std::uint8_t> payload;
-  robust::put_u32(payload, 7);
-  robust::FieldReader fields(payload);
-  (void)fields.u32();
-  EXPECT_THROW((void)fields.u64(), std::runtime_error);
+  const std::vector<std::uint8_t> full = sample_cell_done();
+  for (std::size_t n = 0; n < full.size(); ++n) {
+    SCOPED_TRACE("truncated to " + std::to_string(n) + " bytes");
+    const std::vector<std::uint8_t> cut(full.begin(),
+                                        full.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_THROW((void)robust::decode_cell_done(cut), persist::PersistError);
+  }
+  std::vector<std::uint8_t> padded = full;
+  padded.push_back(0);
+  EXPECT_THROW((void)robust::decode_cell_done(padded), persist::PersistError);
 }
 
 TEST(ChaosPlan, ParsesActionsCellsAndPersistence) {
@@ -196,9 +201,7 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
 /// Deterministic payload for cell i; any worker at any incarnation must
 /// produce exactly these bytes.
 std::vector<std::uint8_t> cell_payload(std::size_t i) {
-  std::vector<std::uint8_t> out;
-  robust::put_u64(out, 0x5eedu + i * 17);
-  return out;
+  return {0x5e, static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i * 17)};
 }
 
 robust::CellFn synthetic_cells() {
@@ -355,15 +358,12 @@ TEST(SweepSupervisor, CellTimeoutKillsTheWorkerAndFailsTheCell) {
   EXPECT_EQ(report.outcomes.size(), 3u);
 }
 
-TEST(SweepSupervisor, ShardJournalSavesCompletedWorkAcrossADeath) {
-  TempFile journal("msim-supervisor-shard");
+TEST(SweepSupervisor, ReportedCellsAreNotRerunAfterAWorkerDeath) {
   auto config = base_config(6, 1);
-  config.journal_path = journal.path();
-  config.journal_fingerprint = 0x1234;
-  // The worker completes cells 0-3 (journaling each), then dies at 4; the
-  // respawned incarnation must replay 0-3 from its shard rather than rerun
-  // them.  Reruns are observable: the cell function appends to a side file,
-  // so a rerun would double a line.
+  // The worker reports cells 0-3, then dies at 4; the supervisor drains the
+  // dead worker's pipe before respawning, so the new incarnation runs only
+  // 4 and 5.  Reruns are observable: the cell function appends to a side
+  // file, so a rerun would double a line.
   TempFile side_effects("msim-supervisor-ran");
   config.chaos = robust::ChaosPlan::parse("kill@4");
   const std::string side_path = side_effects.path();
@@ -380,7 +380,7 @@ TEST(SweepSupervisor, ShardJournalSavesCompletedWorkAcrossADeath) {
   std::vector<std::string> ran;
   for (std::string line; std::getline(in, line);) ran.push_back(line);
   EXPECT_EQ(ran, (std::vector<std::string>{"0", "1", "2", "3", "4", "5"}))
-      << "a cell ran twice: shard replay failed";
+      << "a cell reported before the death ran twice";
 }
 
 // ---------------------------------------------------------------------------
@@ -425,12 +425,23 @@ sim::SweepRequest process_request(std::uint64_t seed, unsigned workers) {
 }
 
 TEST(ProcessSweep, ByteIdenticalToTheThreadBackendAtAnyWorkerCount) {
-  const std::string thread_json = sweep_json_of(run_with(small_request(11)));
+  // Both backends also report every one of the 48 cells the same way: one
+  // start event, one finish event and one progress line each.
+  auto run_counted = [](sim::SweepRequest req) {
+    obs::ProgressBus bus;
+    std::size_t lines = 0;
+    req.progress_bus = &bus;
+    req.progress = [&lines](std::string_view) { ++lines; };
+    std::string json = sweep_json_of(run_with(req));
+    EXPECT_EQ(bus.published(obs::ProgressKind::kCellStart), 48u);
+    EXPECT_EQ(bus.published(obs::ProgressKind::kCellFinish), 48u);
+    EXPECT_EQ(lines, 48u);
+    return json;
+  };
+  const std::string thread_json = run_counted(small_request(11));
   for (const unsigned workers : {1u, 4u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    const std::string process_json =
-        sweep_json_of(run_with(process_request(11, workers)));
-    EXPECT_EQ(thread_json, process_json);
+    EXPECT_EQ(thread_json, run_counted(process_request(11, workers)));
   }
 }
 
@@ -518,10 +529,13 @@ TEST(ProcessSweep, JournalMergesToTheMainFileAndResumesByteIdentically) {
   first.journal_path = journal.path();
   const std::string first_json = sweep_json_of(run_with(first));
 
-  // The merge retired every shard and left one well-formed main journal.
-  EXPECT_TRUE(std::filesystem::exists(journal.path()));
-  EXPECT_FALSE(std::filesystem::exists(
-      robust::SweepSupervisor::shard_path(journal.path(), 0)));
+  // Every worker's cells land in the one main journal, written by the sweep
+  // process: the header plus one line per grid cell (2 kinds x 2 IQ sizes
+  // x 12 mixes), and no file beside it.
+  std::ifstream in(journal.path());
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, 1u + 48u);
 
   // A resume replays everything from the merged journal: identical bytes,
   // zero new simulations (the journal was written by worker processes, so
@@ -535,28 +549,36 @@ TEST(ProcessSweep, JournalMergesToTheMainFileAndResumesByteIdentically) {
   EXPECT_EQ(baselines.computations(), 0u);
 }
 
-TEST(ProcessSweep, ResumeUnionsSurvivingShardsAfterASupervisorCrash) {
-  // Simulate "kill -9 of the supervisor mid-sweep": a completed run's
-  // journal demoted to one worker's shard.  The resume must union the
-  // shard in, replay its cells, run only the rest, and merge everything
-  // back into the main journal.
-  TempFile journal("msim-shard-union");
+TEST(ProcessSweep, ResumeAfterASupervisorCrashRerunsOnlyTheLostCells) {
+  // Simulate "kill -9 of the supervisor mid-sweep": the sweep process is
+  // the journal's only writer, so what survives is a prefix of its journal
+  // -- here the header, ten whole cells and a torn eleventh.  The resume
+  // must replay the ten, run only the rest, and produce the same bytes.
+  TempFile journal("msim-supervisor-crash");
   sim::SweepRequest full = process_request(9, 1);
   full.journal_path = journal.path();
   const std::string want_json = sweep_json_of(run_with(full));
 
-  std::filesystem::rename(journal.path(),
-                          robust::SweepSupervisor::shard_path(journal.path(), 0));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(journal.path());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GT(lines.size(), 12u);
+  {
+    std::ofstream out(journal.path(), std::ios::trunc);
+    for (std::size_t i = 0; i <= 10; ++i) out << lines[i] << "\n";
+    out << lines[11].substr(0, lines[11].size() / 2);
+  }
+
   sim::SweepRequest resumed = process_request(9, 3);
   resumed.journal_path = journal.path();
   resumed.resume = true;
-  sim::BaselineCache baselines(resumed.base);
-  const std::string got_json = sweep_json_of(run_sweep(resumed, baselines));
-  EXPECT_EQ(want_json, got_json);
-  EXPECT_EQ(baselines.computations(), 0u) << "shard cells were re-simulated";
-  EXPECT_TRUE(std::filesystem::exists(journal.path()));
-  EXPECT_FALSE(std::filesystem::exists(
-      robust::SweepSupervisor::shard_path(journal.path(), 0)));
+  obs::ProgressBus bus;
+  resumed.progress_bus = &bus;
+  EXPECT_EQ(want_json, sweep_json_of(run_with(resumed)));
+  EXPECT_EQ(bus.published(obs::ProgressKind::kCellStart), lines.size() - 11)
+      << "only the cells missing from the journal may run again";
 }
 
 // ---------------------------------------------------------------------------
@@ -615,21 +637,6 @@ TEST(JournalTornTail, SweepResumeRerunsExactlyTheTornCell) {
   // Replayed cells never publish kCellStart; only genuinely re-run cells
   // do.  Exactly one record was torn, so exactly one cell re-runs.
   EXPECT_EQ(bus.published(obs::ProgressKind::kCellStart), 1u);
-}
-
-TEST(JournalStatics, ReadCompletedToleratesMissingFilesAndChecksFingerprints) {
-  TempFile journal("msim-read-completed");
-  EXPECT_TRUE(persist::SweepJournal::read_completed(journal.path(), 1).empty());
-  EXPECT_FALSE(std::filesystem::exists(journal.path()))
-      << "a read-only probe must not create the file";
-
-  persist::SweepJournal::write_merged(journal.path(), 1,
-                                      {{"k1", {9}}, {"k2", {8, 7}}});
-  const auto entries = persist::SweepJournal::read_completed(journal.path(), 1);
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at("k1"), std::vector<std::uint8_t>{9});
-  EXPECT_THROW((void)persist::SweepJournal::read_completed(journal.path(), 2),
-               persist::PersistError);
 }
 
 // ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def main():
         f"mid_flight={mid_flight})")
     daemon.sigkill()
     # Orphaned sweep workers die on their next heartbeat write (EPIPE);
-    # give them a beat so the restarted supervisor owns the shard journals.
+    # give them a beat before a new supervisor forks its own.
     time.sleep(1.0)
 
     # 4. Second incarnation: replay, re-serve, resume, verify.
