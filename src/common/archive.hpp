@@ -156,6 +156,30 @@ class Archive {
     for (auto& e : seq) per(*this, e);
   }
 
+  /// Fixed-capacity ring (common/ring.hpp), in the bytes io_sequence writes
+  /// for a deque: the element count, then the elements oldest first.  A
+  /// loaded count above the ring's capacity is rejected, naming `what`.
+  template <typename FixedRing, typename Fn>
+  void io_ring(FixedRing& ring, std::string_view what, Fn&& per) {
+    std::uint64_t n = ring.size();
+    io(n);
+    if (saving_) {
+      for (std::uint32_t i = 0; i < ring.size(); ++i) per(*this, ring[i]);
+      return;
+    }
+    if (n > ring.capacity()) {
+      throw PersistError("checkpoint: " + std::string(what) + " holds " +
+                         std::to_string(n) + " entries but its capacity is " +
+                         std::to_string(ring.capacity()));
+    }
+    ring.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename FixedRing::value_type v{};
+      per(*this, v);
+      ring.push_back(v);
+    }
+  }
+
   /// Fixed-extent range (std::array, C array, SmallVec data window): the
   /// caller owns the extent, only the elements are streamed.
   template <typename It, typename Fn>

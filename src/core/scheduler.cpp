@@ -19,7 +19,7 @@ Scheduler::Scheduler(const SchedulerConfig& config, unsigned thread_count,
               : IqLayout::uniform(config.iq_entries,
                                   reduced_tag(config.kind) ? std::uint8_t{1}
                                                            : std::uint8_t{2})),
-      buffers_(thread_count),
+      buffers_(thread_count, Ring<SchedInst>(config.rename_buffer_entries)),
       dab_(thread_count),
       scan_(thread_count),
       block_reason_(thread_count, DispatchBlock::kNone),
@@ -28,21 +28,18 @@ Scheduler::Scheduler(const SchedulerConfig& config, unsigned thread_count,
       watchdog_remaining_(config.watchdog_timeout) {
   MSIM_CHECK(thread_count_ >= 1 && thread_count_ <= kMaxThreads);
   MSIM_CHECK(dispatch_width_ >= 1 && issue_width_ >= 1);
-  MSIM_CHECK(config_.rename_buffer_entries >= 1);
-  for (auto& buf : buffers_) buf.init(config_.rename_buffer_entries);
 }
 
 bool Scheduler::buffer_has_space(ThreadId tid) const {
-  return buffers_.at(tid).size() < config_.rename_buffer_entries;
+  return !buffers_.at(tid).full();
 }
 
 std::uint32_t Scheduler::buffer_size(ThreadId tid) const {
-  return static_cast<std::uint32_t>(buffers_.at(tid).size());
+  return buffers_.at(tid).size();
 }
 
 void Scheduler::insert(const SchedInst& inst) {
   auto& buf = buffers_.at(inst.tid);
-  MSIM_CHECK(buf.size() < config_.rename_buffer_entries);
   // Renaming is in order within a thread even under out-of-order dispatch
   // (Section 4), so insertions must arrive in consecutive program order.
   // (A watchdog flush resets the expectation: replay restarts at an older
@@ -53,290 +50,6 @@ void Scheduler::insert(const SchedInst& inst) {
   insert_seq_valid_[inst.tid] = 1;
   last_inserted_seq_[inst.tid] = inst.seq;
   buf.push_back(inst);
-}
-
-unsigned Scheduler::non_ready_sources(const SchedInst& inst, const DispatchEnv& env) {
-  unsigned count = 0;
-  PhysReg first_unready = kNoPhysReg;
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg || env.is_ready(src)) continue;
-    if (src == first_unready) continue;  // one comparator covers both slots
-    first_unready = src;
-    ++count;
-  }
-  return count;
-}
-
-unsigned Scheduler::classify_non_ready(const SchedInst& inst, const DispatchEnv& env,
-                                       Cycle now) {
-  if (faults_ && faults_->force_ndi(inst.tid, inst.seq, now)) {
-    ++dstats_.fault_forced_ndis;
-    return isa::kMaxSources;
-  }
-  return non_ready_sources(inst, env);
-}
-
-bool Scheduler::iq_denies(unsigned non_ready, Cycle now) {
-  if (!iq_.has_entry_for(non_ready)) return true;
-  if (faults_ && faults_->iq_exhausted(now)) {
-    ++dstats_.fault_iq_denials;
-    return true;
-  }
-  return false;
-}
-
-bool Scheduler::reads_any(const SchedInst& inst, const std::vector<PhysReg>& regs) {
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg) continue;
-    if (std::find(regs.begin(), regs.end(), src) != regs.end()) return true;
-  }
-  return false;
-}
-
-void Scheduler::dispatch_into_iq(const SchedInst& inst, const DispatchEnv& env,
-                                 Cycle now) {
-  // Collect the distinct non-ready tags the IQ entry must watch.
-  PhysReg waiting[isa::kMaxSources];
-  std::size_t n = 0;
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg || env.is_ready(src)) continue;
-    bool dup = false;
-    for (std::size_t i = 0; i < n; ++i) dup = dup || waiting[i] == src;
-    if (!dup) {
-      MSIM_CHECK(n < isa::kMaxSources);
-      waiting[n] = src;
-      ++n;
-    }
-  }
-  iq_.dispatch(inst, {waiting, n}, now);
-}
-
-void Scheduler::sample_behind_ndi(ThreadId tid, const DispatchEnv& env) {
-  const auto& buf = buffers_[tid];
-  // buf[0] is the blocking NDI; classify everything piled up behind it.
-  // This feeds the Section-4 observation that ~90% of such instructions
-  // are HDIs.  Note HDI status here considers only the comparator
-  // constraint, not momentary IQ occupancy, matching the paper's usage.
-  for (std::uint32_t i = 1; i < buf.size(); ++i) {
-    ++dstats_.behind_ndi_examined;
-    if (non_ready_sources(buf[i], env) <= 1) ++dstats_.behind_ndi_hdis;
-  }
-}
-
-bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env) {
-  auto& buf = buffers_[tid];
-  ScanState& scan = scan_[tid];
-  if (scan.exhausted) return false;
-  if (buf.empty()) {
-    block_reason_[tid] = DispatchBlock::kEmptyBuffer;
-    scan.exhausted = true;
-    return false;
-  }
-
-  if (!ooo_dispatch(config_.kind)) {
-    // In-order policies: only the head is ever considered.  An instruction
-    // with more non-ready sources than any entry class can watch is an NDI
-    // in the 2OP_BLOCK sense (it blocks until an operand arrives); one that
-    // merely lacks a *free* adequate entry right now waits on queue
-    // occupancy (the tag-elimination and traditional cases).
-    const SchedInst& head = buf.front();
-    const unsigned non_ready = classify_non_ready(head, env, now);
-    if (non_ready > iq_.max_comparators()) {
-      if (block_reason_[tid] != DispatchBlock::kTwoNonReady) {
-        block_reason_[tid] = DispatchBlock::kTwoNonReady;
-        sample_behind_ndi(tid, env);  // once per blocked cycle
-      }
-      scan.exhausted = true;
-      return false;
-    }
-    if (iq_denies(non_ready, now)) {
-      block_reason_[tid] = DispatchBlock::kIqFull;
-      scan.exhausted = true;
-      return false;
-    }
-    if (faults_ && faults_->drop_dispatch(tid, head.seq, now)) {
-      ++dstats_.fault_dropped_dispatches;
-      buf.pop_front();
-      block_reason_[tid] = DispatchBlock::kNone;
-      return true;
-    }
-    dispatch_into_iq(head, env, now);
-    ++dstats_.dispatched_by_nonready[std::min(non_ready, 2u)];
-    if (tracer_) tracer_->record(now, tid, head.seq, obs::TraceStage::kDispatch);
-    buf.pop_front();
-    block_reason_[tid] = DispatchBlock::kNone;
-    return true;
-  }
-
-  // Out-of-order dispatch: scan past NDIs up to the configured depth.
-  const bool filtered = config_.kind == SchedulerKind::kTwoOpBlockOooFiltered;
-  const std::uint32_t depth = config_.effective_scan_depth();
-  while (scan.pos < buf.size() && scan.examined < depth) {
-    const SchedInst& cand = buf[scan.pos];
-    const unsigned non_ready = classify_non_ready(cand, env, now);
-    const bool tainted = reads_any(cand, scan.tainted);
-    if (non_ready <= iq_.max_comparators() && iq_denies(non_ready, now)) {
-      scan.saw_iq_full = true;
-      // Deadlock avoidance (Section 4): when the thread's oldest ROB
-      // instruction cannot get an IQ entry, park it in the DAB, from
-      // which it will issue with priority.  It is the oldest in the ROB,
-      // so all of its sources are ready by definition.
-      if (config_.deadlock == DeadlockMode::kAvoidanceBuffer && !dab_[tid] &&
-          env.is_oldest_in_rob(tid, buf.front().seq)) {
-        MSIM_CHECK(non_ready_sources(buf.front(), env) == 0);
-        dab_[tid] = buf.front();
-        ++dab_live_;
-        buf.pop_front();
-        if (scan.pos > 0) --scan.pos;
-        ++dstats_.dab_inserts;
-        if (tracer_) {
-          tracer_->record(now, tid, dab_[tid]->seq, obs::TraceStage::kDabInsert);
-        }
-        block_reason_[tid] = DispatchBlock::kNone;
-        return true;  // consumed a dispatch slot
-      }
-      block_reason_[tid] = DispatchBlock::kIqFull;
-      scan.exhausted = true;
-      return false;
-    }
-    if (non_ready > iq_.max_comparators()) {
-      // NDI: bypass it; its destination taints dependents.
-      scan.saw_ndi = true;
-      if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
-      ++scan.pos;
-      ++scan.examined;
-      continue;
-    }
-    if (filtered && tainted) {
-      // Idealized filtering: an HDI dependent (directly or transitively)
-      // on a bypassed NDI is held back.
-      ++dstats_.filtered_suppressed;
-      if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
-      ++scan.pos;
-      ++scan.examined;
-      continue;
-    }
-
-    // Dispatchable: take it.
-    if (faults_ && faults_->drop_dispatch(tid, cand.seq, now)) {
-      ++dstats_.fault_dropped_dispatches;
-      buf.erase_at(scan.pos);
-      block_reason_[tid] = DispatchBlock::kNone;
-      return true;
-    }
-    if (scan.saw_ndi) {
-      ++dstats_.ooo_dispatches;
-      if (tainted) {
-        ++dstats_.ooo_dispatches_dependent;
-        if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
-      }
-    }
-    dispatch_into_iq(cand, env, now);
-    ++dstats_.dispatched_by_nonready[std::min(non_ready, 2u)];
-    if (tracer_) {
-      tracer_->record(now, tid, cand.seq, obs::TraceStage::kDispatch,
-                      scan.saw_ndi ? obs::kTraceFlagOooBypass : std::uint8_t{0});
-    }
-    ++scan.examined;
-    buf.erase_at(scan.pos);  // pos now indexes the next entry
-    block_reason_[tid] = DispatchBlock::kNone;
-    return true;
-  }
-
-  scan.exhausted = true;
-  if (scan.saw_ndi && block_reason_[tid] == DispatchBlock::kNone) {
-    block_reason_[tid] = DispatchBlock::kTwoNonReady;
-  }
-  return false;
-}
-
-DispatchCycleResult Scheduler::run_dispatch(Cycle now, const DispatchEnv& env) {
-  ++dstats_.cycles;
-  for (ThreadId t = 0; t < thread_count_; ++t) {
-    scan_[t].reset();
-    block_reason_[t] = DispatchBlock::kNone;
-  }
-
-  DispatchCycleResult result;
-  rr_start_ = (rr_start_ + 1) % thread_count_;
-  bool progress = true;
-  while (result.dispatched < dispatch_width_ && progress) {
-    progress = false;
-    for (unsigned i = 0; i < thread_count_ && result.dispatched < dispatch_width_; ++i) {
-      const auto tid = static_cast<ThreadId>((rr_start_ + i) % thread_count_);
-      if (try_dispatch_one(tid, now, env)) {
-        ++result.dispatched;
-        progress = true;
-      }
-    }
-  }
-  dstats_.dispatched += result.dispatched;
-
-  // Classify the cycle for the Section-3 stall statistic: "the dispatch of
-  // all threads stalls due to all threads having instructions with two
-  // non-ready sources".  Every thread must actually hold an instruction
-  // blocked by the comparator constraint -- a thread with an empty buffer
-  // is fetch-starved, not stalled by the 2OP_BLOCK rule.
-  if (result.dispatched == 0) {
-    ++dstats_.no_dispatch_cycles;
-    bool all_ndi = true;
-    for (ThreadId t = 0; t < thread_count_; ++t) {
-      all_ndi = all_ndi && block_reason_[t] == DispatchBlock::kTwoNonReady;
-    }
-    if (all_ndi) ++dstats_.all_threads_ndi_stall_cycles;
-  }
-  for (ThreadId t = 0; t < thread_count_; ++t) {
-    if (block_reason_[t] == DispatchBlock::kTwoNonReady) ++dstats_.ndi_blocked_thread_cycles;
-    if (block_reason_[t] == DispatchBlock::kIqFull) ++dstats_.iq_full_thread_cycles;
-  }
-
-  // Watchdog (Section 4): counts down on dispatch-free cycles while work is
-  // waiting; any dispatch resets it.
-  if (config_.deadlock == DeadlockMode::kWatchdog && ooo_dispatch(config_.kind)) {
-    bool work_waiting = false;
-    for (const auto& buf : buffers_) work_waiting = work_waiting || !buf.empty();
-    if (result.dispatched > 0 || !work_waiting) {
-      watchdog_remaining_ = config_.watchdog_timeout;
-    } else if (watchdog_remaining_ == 0 || --watchdog_remaining_ == 0) {
-      result.watchdog_fired = true;
-      ++dstats_.watchdog_flushes;
-      watchdog_remaining_ = config_.watchdog_timeout;
-    }
-  }
-  return result;
-}
-
-unsigned Scheduler::run_select(Cycle now, IssueEnv& env) {
-  unsigned issued = 0;
-  // The DAB is empty on the overwhelming majority of cycles; dab_live_
-  // makes that the zero-work case.
-  if (dab_live_ > 0) {
-    for (ThreadId t = 0; t < thread_count_ && issued < issue_width_; ++t) {
-      const auto tid = static_cast<ThreadId>((rr_start_ + t) % thread_count_);
-      if (!dab_[tid]) continue;
-      if (env.try_issue(*dab_[tid], /*from_dab=*/true)) {
-        dab_[tid].reset();
-        --dab_live_;
-        ++issued;
-        ++dstats_.dab_issues;
-      }
-    }
-    // The paper's chosen DAB variant disables IQ selection while the DAB
-    // holds instructions ("instructions in this buffer ... simply take
-    // precedence over the instructions in the IQ").
-    if (config_.dab_exclusive) return issued;
-  }
-
-  ready_scratch_.clear();
-  iq_.collect_ready(ready_scratch_);
-  for (std::uint32_t slot : ready_scratch_) {
-    if (issued >= issue_width_) break;
-    if (env.try_issue(iq_.at(slot), /*from_dab=*/false)) {
-      iq_.issue(slot, now);
-      ++issued;
-    }
-  }
-  return issued;
 }
 
 void Scheduler::squash_younger(ThreadId tid, SeqNum after_seq) noexcept {
@@ -429,23 +142,7 @@ void Scheduler::state_io(persist::Archive& ar) {
   if (ar.saving()) iq_.save_state(ar); else iq_.load_state(ar);
   // Rename buffers serialize their logical contents (program order); the
   // ring's physical head position is unobservable.
-  for (RenameBuffer& buf : buffers_) {
-    std::uint64_t n = buf.size();
-    ar.io(n);
-    if (ar.saving()) {
-      for (std::uint32_t i = 0; i < buf.size(); ++i) {
-        SchedInst si = buf[i];
-        io_sched_inst(ar, si);
-      }
-    } else {
-      buf.clear();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        SchedInst si{};
-        io_sched_inst(ar, si);
-        buf.push_back(si);
-      }
-    }
-  }
+  for (Ring<SchedInst>& buf : buffers_) ar.io_ring(buf, "rename buffer", io_sched_inst);
   ar.io_sequence(dab_, [](persist::Archive& a, std::optional<SchedInst>& slot) {
     a.io_optional(slot, io_sched_inst);
   });
@@ -455,6 +152,9 @@ void Scheduler::state_io(persist::Archive& ar) {
   ar.io(insert_seq_valid_);
   ar.io(watchdog_remaining_);
   ar.io(rr_start_);
+  if (!ar.saving() && rr_start_ >= thread_count_) {
+    throw persist::PersistError("checkpoint: round-robin origin out of range");
+  }
   ar.io(dstats_.cycles);
   ar.io(dstats_.dispatched);
   for (std::uint64_t& n : dstats_.dispatched_by_nonready) ar.io(n);

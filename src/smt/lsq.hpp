@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/check.hpp"
+#include "common/ring.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 
@@ -40,11 +40,9 @@ class LoadStoreQueue {
   /// data is not ready.  Without it, any older store with an unresolved
   /// address blocks the load (conservative hardware).
   explicit LoadStoreQueue(std::uint32_t capacity, bool oracle_disambiguation = true)
-      : capacity_(capacity), oracle_(oracle_disambiguation) {
-    MSIM_CHECK(capacity_ > 0);
-  }
+      : oracle_(oracle_disambiguation), entries_(capacity), stores_(capacity) {}
 
-  [[nodiscard]] bool full() const noexcept { return entries_.size() >= capacity_; }
+  [[nodiscard]] bool full() const noexcept { return entries_.full(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   /// Allocates an entry at rename, in program order.
@@ -52,7 +50,9 @@ class LoadStoreQueue {
                 PhysReg data_src) {
     MSIM_CHECK(!full());
     MSIM_CHECK(entries_.empty() || seq > entries_.back().seq);
-    entries_.push_back({seq, addr, addr_src, data_src, is_store});
+    const Entry e{seq, addr, addr_src, data_src, is_store};
+    entries_.push_back(e);
+    if (is_store) stores_.push_back(e);
   }
 
   /// Memory-order check for a load about to issue.  `ready` reports
@@ -61,9 +61,8 @@ class LoadStoreQueue {
   [[nodiscard]] LoadVerdict check_load(SeqNum load_seq, Addr addr, ReadyFn&& ready) {
     ++stats_.loads_checked;
     const Entry* forward_from = nullptr;
-    for (const Entry& e : entries_) {
+    for (const Entry& e : stores_) {
       if (e.seq >= load_seq) break;
-      if (!e.is_store) continue;
       if (!oracle_ && e.addr_src != kNoPhysReg && !ready(e.addr_src)) {
         ++stats_.blocked_checks;
         return LoadVerdict::kBlocked;  // unresolved older store address
@@ -82,6 +81,7 @@ class LoadStoreQueue {
   /// Commit-time release; must match the oldest entry.
   void pop(SeqNum seq) {
     MSIM_CHECK(!entries_.empty() && entries_.front().seq == seq);
+    if (entries_.front().is_store) stores_.pop_front();
     entries_.pop_front();
   }
 
@@ -91,9 +91,13 @@ class LoadStoreQueue {
     while (!entries_.empty() && entries_.back().seq > after_seq) {
       entries_.pop_back();
     }
+    while (!stores_.empty() && stores_.back().seq > after_seq) stores_.pop_back();
   }
 
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept {
+    entries_.clear();
+    stores_.clear();
+  }
 
   [[nodiscard]] const LsqStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
@@ -112,9 +116,9 @@ class LoadStoreQueue {
     bool is_store;
   };
 
-  std::uint32_t capacity_;
   bool oracle_;
-  std::deque<Entry> entries_;
+  Ring<Entry> entries_;  ///< every in-flight load and store, program order
+  Ring<Entry> stores_;   ///< the stores of entries_, for check_load's walk
   LsqStats stats_;
 };
 

@@ -23,32 +23,34 @@ std::string_view fetch_policy_name(FetchPolicy p) noexcept {
 
 // ---- environment adapters --------------------------------------------------
 
-class Pipeline::DispatchEnvImpl final : public core::DispatchEnv {
- public:
-  explicit DispatchEnvImpl(Pipeline& self) : self_(self) {}
+// The scheduler's dispatch and select phases are templates on these types
+// (core::DispatchEnv / core::IssueEnv), so every call below inlines into the
+// per-instruction loops of Scheduler::run_dispatch / run_select.
 
-  [[nodiscard]] bool is_ready(PhysReg reg) const override {
+class Pipeline::DispatchEnvImpl final {
+ public:
+  explicit DispatchEnvImpl(const Pipeline& self) : self_(self) {}
+
+  [[nodiscard]] bool is_ready(PhysReg reg) const {
     return self_.rename_.is_ready(reg);
   }
 
-  [[nodiscard]] bool is_oldest_in_rob(ThreadId tid, SeqNum seq) const override {
+  [[nodiscard]] bool is_oldest_in_rob(ThreadId tid, SeqNum seq) const {
     const ReorderBuffer& rob = self_.threads_.at(tid)->rob;
     return !rob.empty() && rob.head_seq() == seq;
   }
 
  private:
-  Pipeline& self_;
+  const Pipeline& self_;
 };
 
-class Pipeline::IssueEnvImpl final : public core::IssueEnv {
+class Pipeline::IssueEnvImpl final {
  public:
-  explicit IssueEnvImpl(Pipeline& self) : self_(self) {}
+  IssueEnvImpl(Pipeline& self, Cycle now) : self_(self), now_(now) {}
 
-  void set_cycle(Cycle now) noexcept { now_ = now; }
-
-  bool try_issue(const core::SchedInst& inst, bool from_dab) override {
+  bool try_issue(const core::SchedInst& inst, bool from_dab) {
     Pipeline& p = self_;
-    ThreadState& ts = *p.threads_.at(inst.tid);
+    ThreadState& ts = *p.threads_[inst.tid];
     RobEntry& e = ts.rob.entry(inst.seq);
     MSIM_CHECK(!e.issued);
     const isa::OpTiming timing = isa::op_timing(e.inst.op);
@@ -134,7 +136,7 @@ class Pipeline::IssueEnvImpl final : public core::IssueEnv {
 
  private:
   Pipeline& self_;
-  Cycle now_ = 0;
+  Cycle now_;
 };
 
 // ---- construction -----------------------------------------------------------
@@ -159,9 +161,6 @@ Pipeline::Pipeline(const MachineConfig& config,
     threads_.push_back(std::make_unique<ThreadState>(workload[t], seeder.next_u64(),
                                                      t, config_));
   }
-  dispatch_env_ = std::make_unique<DispatchEnvImpl>(*this);
-  issue_env_ = std::make_unique<IssueEnvImpl>(*this);
-
   stall_stats_.resize(config_.thread_count);
   if (config_.trace_capacity != 0) {
     tracer_.enable(config_.trace_capacity);
@@ -225,12 +224,13 @@ void Pipeline::apply_broadcasts(Cycle now) {
 }
 
 void Pipeline::do_issue(Cycle now) {
-  issue_env_->set_cycle(now);
-  scheduler_->run_select(now, *issue_env_);
+  IssueEnvImpl env(*this, now);
+  scheduler_->run_select(now, env);
 }
 
 void Pipeline::do_dispatch(Cycle now) {
-  const core::DispatchCycleResult result = scheduler_->run_dispatch(now, *dispatch_env_);
+  const DispatchEnvImpl env(*this);
+  const core::DispatchCycleResult result = scheduler_->run_dispatch(now, env);
   if (result.watchdog_fired) watchdog_flush(now);
 }
 
@@ -296,8 +296,7 @@ void Pipeline::do_rename(Cycle now) {
 
 std::uint32_t Pipeline::icount(ThreadId tid) const {
   const ThreadState& ts = *threads_[tid];
-  return static_cast<std::uint32_t>(ts.fetch_queue.size()) +
-         scheduler_->held_instructions(tid);
+  return ts.fetch_queue.size() + scheduler_->held_instructions(tid);
 }
 
 const isa::DynInst& Pipeline::peek_next_inst(ThreadState& ts) {
@@ -316,7 +315,7 @@ unsigned Pipeline::fetch_from_thread(ThreadId tid, unsigned budget, Cycle now) {
   ThreadState& ts = *threads_[tid];
   const std::uint64_t line_bytes = config_.memory.l1i.line_bytes;
   unsigned fetched = 0;
-  while (fetched < budget && ts.fetch_queue.size() < config_.fetch_queue_entries) {
+  while (fetched < budget && !ts.fetch_queue.full()) {
     const isa::DynInst& di = peek_next_inst(ts);
 
     const Addr line = di.pc / line_bytes;
@@ -377,7 +376,7 @@ unsigned Pipeline::fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now) {
   if (ts.wp_fetch_done) return 0;
   const std::uint64_t line_bytes = config_.memory.l1i.line_bytes;
   unsigned fetched = 0;
-  while (fetched < budget && ts.fetch_queue.size() < config_.fetch_queue_entries) {
+  while (fetched < budget && !ts.fetch_queue.full()) {
     isa::DynInst wi = ts.gen.synthesize_wrong_path(ts.wp_pc, ts.wp_rng);
     wi.seq = ts.wp_next_seq;
 
@@ -428,8 +427,10 @@ void Pipeline::do_fetch(Cycle now) {
   // in-flight front-end instructions first pick; round-robin simply
   // rotates.  STALL and FLUSH use ICOUNT order plus L2-miss gating.
   std::array<ThreadId, kMaxThreads> order;
-  for (unsigned t = 0; t < config_.thread_count; ++t) {
-    order[t] = static_cast<ThreadId>((now + t) % config_.thread_count);
+  unsigned slot = static_cast<unsigned>(now % config_.thread_count);
+  for (unsigned t = 0; t < config_.thread_count;
+       ++t, slot = slot + 1 == config_.thread_count ? 0 : slot + 1) {
+    order[t] = static_cast<ThreadId>(slot);
   }
   if (config_.fetch_policy != FetchPolicy::kRoundRobin) {
     // icount() walks three structures; compute it once per thread and
@@ -461,7 +462,7 @@ void Pipeline::do_fetch(Cycle now) {
       ++pstats_.fetch_l2_gated;
       continue;
     }
-    if (ts.fetch_queue.size() >= config_.fetch_queue_entries) continue;
+    if (ts.fetch_queue.full()) continue;
     total += ts.on_wrong_path
                  ? fetch_wrong_path(tid, config_.fetch_width - total, now)
                  : fetch_from_thread(tid, config_.fetch_width - total, now);
@@ -718,7 +719,7 @@ std::uint32_t Pipeline::lsq_size(ThreadId tid) const {
 }
 
 std::uint32_t Pipeline::fetch_queue_size(ThreadId tid) const {
-  return static_cast<std::uint32_t>(threads_.at(tid)->fetch_queue.size());
+  return threads_.at(tid)->fetch_queue.size();
 }
 
 std::uint32_t Pipeline::replay_depth(ThreadId tid) const {
@@ -916,7 +917,7 @@ void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
   if (ar.saving()) ts.gen.save_state(ar); else ts.gen.load_state(ar);
   ar.io_sequence(ts.replay, core::io_dyn_inst);
   ar.io_optional(ts.pending, core::io_dyn_inst);
-  ar.io_sequence(ts.fetch_queue, [](persist::Archive& a, FetchedInst& f) {
+  ar.io_ring(ts.fetch_queue, "fetch queue", [](persist::Archive& a, FetchedInst& f) {
     core::io_dyn_inst(a, f.inst);
     a.io(f.fetched_at);
     a.io(f.mispredicted);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bpred/predictor.hpp"
+#include "common/ring.hpp"
 #include "core/scheduler.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/interval.hpp"
@@ -270,13 +271,14 @@ class Pipeline {
     ThreadState(const trace::BenchmarkProfile& profile, std::uint64_t seed,
                 ThreadId tid, const MachineConfig& config)
         : gen(profile, seed, trace::AddressSpace::for_thread(tid)),
+          fetch_queue(config.fetch_queue_entries),
           rob(config.rob_entries_per_thread),
           lsq(config.lsq_entries_per_thread, config.oracle_disambiguation) {}
 
     trace::TraceGenerator gen;
     std::deque<isa::DynInst> replay;       ///< refilled by watchdog flushes
     std::optional<isa::DynInst> pending;   ///< one-instruction fetch lookahead
-    std::deque<FetchedInst> fetch_queue;
+    Ring<FetchedInst> fetch_queue;
     ReorderBuffer rob;
     LoadStoreQueue lsq;
     Cycle fetch_stalled_until = 0;
@@ -370,8 +372,6 @@ class Pipeline {
   PipelineObserver* observer_ = nullptr;       ///< not owned; nullptr = off
   const core::FaultHooks* faults_ = nullptr;   ///< not owned; nullptr = fault-free
   std::vector<ThreadStallStats> stall_stats_;  ///< one per thread
-  std::unique_ptr<DispatchEnvImpl> dispatch_env_;
-  std::unique_ptr<IssueEnvImpl> issue_env_;
 
   // Observability.  The registry holds closures over other members and the
   // scheduler holds a pointer into tracer_; the pipeline is non-copyable,

@@ -6,6 +6,7 @@
 // resolves that to a RobEntry here.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +44,13 @@ struct RobEntry {
 
 class ReorderBuffer {
  public:
-  explicit ReorderBuffer(std::uint32_t capacity) : capacity_(capacity) {
+  // Slots are indexed by seq, so a power-of-two array turns the per-lookup
+  // division into a mask.  Any `capacity_` consecutive sequence numbers
+  // still map to distinct slots; full() keeps the configured capacity.
+  explicit ReorderBuffer(std::uint32_t capacity)
+      : capacity_(capacity), mask_(std::bit_ceil(capacity) - 1) {
     MSIM_CHECK(capacity_ > 0);
-    slots_.resize(capacity_);
+    slots_.resize(mask_ + std::size_t{1});
   }
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -115,10 +120,11 @@ class ReorderBuffer {
   void state_io(persist::Archive& ar);
 
   [[nodiscard]] std::size_t slot_of(SeqNum seq) const noexcept {
-    return static_cast<std::size_t>(seq % capacity_);
+    return static_cast<std::size_t>(seq & mask_);
   }
 
   std::uint32_t capacity_;
+  std::uint32_t mask_;  ///< slots_.size() - 1
   std::uint32_t count_ = 0;
   SeqNum head_seq_ = 0;
   std::vector<RobEntry> slots_;

@@ -36,6 +36,11 @@ void ReorderBuffer::state_io(persist::Archive& ar) {
     throw persist::PersistError("checkpoint: ROB capacity mismatch");
   }
   ar.io(count_);
+  if (!ar.saving() && count_ > capacity_) {
+    throw persist::PersistError("checkpoint: ROB holds " + std::to_string(count_) +
+                                " entries but its capacity is " +
+                                std::to_string(capacity_));
+  }
   ar.io(head_seq_);
   // Live window only, oldest first; dead slots are unobservable (allocate
   // resets them) and restore as default entries.
@@ -48,13 +53,20 @@ MSIM_PERSIST_VIA_STATE_IO(ReorderBuffer)
 
 void LoadStoreQueue::state_io(persist::Archive& ar) {
   ar.section("lsq");
-  ar.io_sequence(entries_, [](persist::Archive& a, Entry& e) {
+  ar.io_ring(entries_, "LSQ", [](persist::Archive& a, Entry& e) {
     a.io(e.seq);
     a.io(e.addr);
     a.io(e.addr_src);
     a.io(e.data_src);
     a.io(e.is_store);
   });
+  if (!ar.saving()) {
+    // The store ring is an index over entries_; rebuild it.
+    stores_.clear();
+    for (const Entry& e : entries_) {
+      if (e.is_store) stores_.push_back(e);
+    }
+  }
   ar.io(stats_.loads_checked);
   ar.io(stats_.forwards);
   ar.io(stats_.blocked_checks);

@@ -18,6 +18,7 @@
 //   4. run_sweep with a cell journal: a sweep killed mid-grid resumes from
 //      its write-ahead journal to byte-identical aggregate JSON at any
 //      jobs count.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -285,6 +286,149 @@ TEST(CheckpointFile, RejectsTruncationAndGarbage) {
   EXPECT_THROW((void)persist::load_checkpoint(temp_path("msim-test-missing"),
                                               victim, 0x1234),
                persist::PersistError);
+}
+
+// Queue counts come from disk.  One above the receiving queue's capacity
+// must raise PersistError, never write past the ring; under the asan/ubsan
+// job these tests also prove no byte is touched out of bounds.  The
+// over-full streams are genuine checkpoints of a machine whose queue is
+// roomier than the loader's.
+
+/// Runs the 4T golden machine until some thread's queue (as `held` reads
+/// it) holds more than `limit` entries, then loads its bytes into the same
+/// machine with that queue shrunk to `limit` by `shrink`.
+void expect_overfull_queue_refused(
+    std::uint32_t limit, void (*shrink)(smt::MachineConfig&, std::uint32_t),
+    std::uint32_t (*held)(const smt::Pipeline&, ThreadId), const std::string& queue) {
+  const auto w = workload({"gzip", "equake", "gcc", "mesa"});
+  const smt::MachineConfig roomy = golden_machine(core::SchedulerKind::kTwoOpBlock, 4);
+  smt::MachineConfig tight = roomy;
+  shrink(tight, limit);
+
+  smt::Pipeline pipe(roomy, w, /*seed=*/1);
+  auto overfull = [&] {
+    for (ThreadId t = 0; t < 4; ++t) {
+      if (held(pipe, t) > limit) return true;
+    }
+    return false;
+  };
+  for (int i = 0; i < 100'000 && !overfull(); ++i) pipe.tick();
+  ASSERT_TRUE(overfull()) << queue << " never held more than " << limit;
+  persist::Archive save = persist::Archive::saver();
+  pipe.save_state(save);
+
+  smt::Pipeline target(tight, w, /*seed=*/1);
+  persist::Archive load = persist::Archive::loader(save.bytes());
+  try {
+    target.load_state(load);
+    FAIL() << "an over-full " << queue << " loaded";
+  } catch (const persist::PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find(queue + " holds "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CheckpointLoad, OverfullFetchQueueIsRefused) {
+  expect_overfull_queue_refused(
+      4, [](smt::MachineConfig& mc, std::uint32_t n) { mc.fetch_queue_entries = n; },
+      [](const smt::Pipeline& p, ThreadId t) { return p.fetch_queue_size(t); },
+      "fetch queue");
+}
+
+TEST(CheckpointLoad, OverfullLsqIsRefused) {
+  expect_overfull_queue_refused(
+      8, [](smt::MachineConfig& mc, std::uint32_t n) { mc.lsq_entries_per_thread = n; },
+      [](const smt::Pipeline& p, ThreadId t) { return p.lsq_size(t); }, "LSQ");
+}
+
+TEST(CheckpointLoad, OverfullRenameBufferIsRefused) {
+  expect_overfull_queue_refused(
+      4,
+      [](smt::MachineConfig& mc, std::uint32_t n) {
+        mc.scheduler.rename_buffer_entries = n;
+      },
+      [](const smt::Pipeline& p, ThreadId t) { return p.scheduler().buffer_size(t); },
+      "rename buffer");
+}
+
+/// Appends the `width` low bytes of `v`, little-endian (the Archive's
+/// encoding), so a test can find a known field run in a payload.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// Offset of the first occurrence of `fields` in `bytes` (bytes.size()
+/// when absent).
+std::size_t find_fields(const std::vector<std::uint8_t>& bytes,
+                        const std::vector<std::uint8_t>& fields) {
+  return static_cast<std::size_t>(
+      std::search(bytes.begin(), bytes.end(), fields.begin(), fields.end()) -
+      bytes.begin());
+}
+
+// The ROB's capacity travels in the stream, so only a corrupted count can
+// exceed it: patch the count that follows the first ROB section header.
+TEST(CheckpointLoad, CorruptRobCountIsRefused) {
+  const auto w = workload({"gzip", "equake"});
+  const auto mc = golden_machine(core::SchedulerKind::kTwoOpBlockOoo, 2);
+  smt::Pipeline pipe(mc, w, /*seed=*/1);
+  pipe.run(2'000);
+  persist::Archive save = persist::Archive::saver();
+  pipe.save_state(save);
+  std::vector<std::uint8_t> bytes = save.bytes();
+
+  std::vector<std::uint8_t> header;
+  put_le(header, persist::tag_hash("rob"), 4);
+  put_le(header, mc.rob_entries_per_thread, 4);
+  const std::size_t count_at = find_fields(bytes, header) + header.size();
+  ASSERT_LE(count_at + 4, bytes.size());
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(count_at), 4, 0xff);
+
+  smt::Pipeline target(mc, w, /*seed=*/1);
+  persist::Archive load = persist::Archive::loader(bytes);
+  try {
+    target.load_state(load);
+    FAIL() << "a ROB count of 2^32 - 1 loaded";
+  } catch (const persist::PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find("ROB holds 4294967295 entries"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The scheduler's round-robin origin indexes per-thread state directly, so
+// a corrupt one is refused.  777 idle dispatch cycles on 3 threads leave it
+// at 0 after the untouched watchdog countdown and before the cycle count.
+TEST(CheckpointLoad, CorruptRoundRobinOriginIsRefused) {
+  struct NothingReady {
+    bool is_ready(PhysReg) const { return false; }
+    bool is_oldest_in_rob(ThreadId, SeqNum) const { return false; }
+  };
+  const core::SchedulerConfig cfg;
+  core::Scheduler sched(cfg, /*thread_count=*/3, /*dispatch_width=*/8,
+                        /*issue_width=*/8);
+  for (Cycle now = 0; now < 777; ++now) (void)sched.run_dispatch(now, NothingReady{});
+  persist::Archive save = persist::Archive::saver();
+  sched.save_state(save);
+  std::vector<std::uint8_t> bytes = save.bytes();
+
+  std::vector<std::uint8_t> fields;
+  put_le(fields, cfg.watchdog_timeout, 4);
+  put_le(fields, /*round-robin origin=*/0, 4);
+  put_le(fields, /*dispatch cycles=*/777, 8);
+  const std::size_t at = find_fields(bytes, fields);
+  ASSERT_LT(at, bytes.size());
+  bytes[at + 4] = 3;  // origin == thread_count
+
+  core::Scheduler target(cfg, 3, 8, 8);
+  persist::Archive load = persist::Archive::loader(bytes);
+  try {
+    target.load_state(load);
+    FAIL() << "a round-robin origin of 3 loaded into a 3-thread scheduler";
+  } catch (const persist::PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find("round-robin origin"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- 3. run_simulation: interrupt / resume ---------------------------------

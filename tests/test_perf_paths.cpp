@@ -1,6 +1,6 @@
 // Guard rails for the event-driven scheduler hot paths (docs/PERFORMANCE.md).
 //
-// Four layers, from micro to macro:
+// Five layers, from micro to macro:
 //   1. Randomized equivalence: the wakeup-list IssueQueue must behave
 //      exactly like a brute-force reference scan model under randomized
 //      dependency graphs (dispatch/broadcast/issue/squash interleavings).
@@ -13,6 +13,9 @@
 //   4. Golden bit-identity: committed-instruction digests of full 2T/4T
 //      pipeline runs are pinned.  Any optimization that changes a digest
 //      changed machine behavior and violated the bit-identity contract.
+//   5. The same pins for the paths layer 4 misses (FLUSH squash, wrong
+//      path, watchdog replay, filtered dispatch, one thread), plus the
+//      hash of a mid-run checkpoint's bytes.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -22,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/archive.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/issue_queue.hpp"
@@ -572,18 +576,28 @@ struct GoldenRun {
   std::uint64_t dispatched = 0;
 };
 
-GoldenRun run_digest(SchedulerKind kind, std::initializer_list<const char*> names,
-                     std::uint64_t seed) {
-  const auto w = workload(names);
+smt::MachineConfig golden_machine(SchedulerKind kind, unsigned threads) {
   smt::MachineConfig mc;
-  mc.thread_count = static_cast<unsigned>(w.size());
+  mc.thread_count = threads;
   mc.scheduler.kind = kind;
   mc.scheduler.iq_entries = 64;
+  return mc;
+}
+
+/// Runs `mc` over `names` until some thread commits 30k instructions.
+/// With `path_events`, also stores `count_path_events` of the finished
+/// pipeline there.
+GoldenRun run_machine(
+    const smt::MachineConfig& mc, std::initializer_list<const char*> names,
+    std::uint64_t seed, std::uint64_t* path_events = nullptr,
+    std::uint64_t (*count_path_events)(const smt::Pipeline&) = nullptr) {
+  const auto w = workload(names);
   smt::Pipeline pipe(mc, w, seed);
   CommitDigest digest;
   pipe.set_observer(&digest);
   pipe.run(30'000);
   pipe.set_observer(nullptr);
+  if (path_events != nullptr) *path_events = count_path_events(pipe);
   GoldenRun g;
   g.digest = digest.value();
   g.cycles = pipe.cycles();
@@ -592,6 +606,12 @@ GoldenRun run_digest(SchedulerKind kind, std::initializer_list<const char*> name
   g.iq_comparator_ops = pipe.scheduler().iq().stats().comparator_ops;
   g.dispatched = pipe.scheduler().dispatch_stats().dispatched;
   return g;
+}
+
+GoldenRun run_digest(SchedulerKind kind, std::initializer_list<const char*> names,
+                     std::uint64_t seed) {
+  return run_machine(golden_machine(kind, static_cast<unsigned>(names.size())), names,
+                     seed);
 }
 
 void expect_golden(const GoldenRun& got, const GoldenRun& want) {
@@ -641,6 +661,120 @@ TEST(GoldenBitIdentity, FourThreadTagElimination) {
   expect_golden(
       run_digest(SchedulerKind::kTagElimination, {"gzip", "equake", "gcc", "mesa"}, 1),
       GoldenRun{15796738916688664714ULL, 33844, 74460, 36158, 2863349, 74692});
+}
+
+// ---- 5. golden digests of the paths the six runs above miss ---------------
+//
+// Partial squash of the LSQ and fetch queue (FLUSH fetch policy), wrong-path
+// fetch and squash, the watchdog's full flush and replay, the filtered
+// variant's taint scan and a single-thread machine.  Each test also pins
+// the count of the events that prove its path ran.  The constants were
+// taken before the rings and the templated scheduler boundary replaced the
+// deques and virtual calls (docs/PERFORMANCE.md §2).
+
+constexpr std::initializer_list<const char*> kFourMix = {"gzip", "equake", "gcc",
+                                                         "mesa"};
+
+TEST(GoldenPathIdentity, FlushFetchPolicySquashesLsqAndFetchQueue) {
+  smt::MachineConfig mc = golden_machine(SchedulerKind::kTwoOpBlockOoo, 4);
+  mc.fetch_policy = smt::FetchPolicy::kFlush;
+  std::uint64_t flushed = 0;
+  const GoldenRun got =
+      run_machine(mc, kFourMix, 1, &flushed, [](const smt::Pipeline& p) {
+        return p.stats().policy_flushed_instructions;
+      });
+  expect_golden(got,
+                GoldenRun{14127672945918635263ULL, 49969, 64939, 29732, 554788, 69980});
+  EXPECT_EQ(flushed, 17251u);
+}
+
+TEST(GoldenPathIdentity, WrongPathFetchAndSquash) {
+  smt::MachineConfig mc = golden_machine(SchedulerKind::kTwoOpBlockOoo, 4);
+  mc.model_wrong_path = true;
+  std::uint64_t squashes = 0;
+  const GoldenRun got =
+      run_machine(mc, kFourMix, 1, &squashes, [](const smt::Pipeline& p) {
+        return p.stats().wrong_path_squashes;
+      });
+  expect_golden(got,
+                GoldenRun{13396996995215274301ULL, 32489, 73851, 35196, 2511009, 79112});
+  EXPECT_EQ(squashes, 635u);
+}
+
+TEST(GoldenPathIdentity, WatchdogFlushAndReplay) {
+  smt::MachineConfig mc = golden_machine(SchedulerKind::kTwoOpBlockOoo, 4);
+  mc.scheduler.iq_entries = 16;
+  mc.scheduler.deadlock = DeadlockMode::kWatchdog;
+  mc.scheduler.watchdog_timeout = 64;
+  std::uint64_t flushes = 0;
+  const GoldenRun got =
+      run_machine(mc, kFourMix, 1, &flushes, [](const smt::Pipeline& p) {
+        return p.scheduler().dispatch_stats().watchdog_flushes;
+      });
+  expect_golden(got,
+                GoldenRun{1242831414267564743ULL, 71606, 94644, 36953, 1349944, 116030});
+  EXPECT_EQ(flushes, 242u);
+}
+
+TEST(GoldenPathIdentity, FilteredOooTaintScan) {
+  std::uint64_t suppressed = 0;
+  const GoldenRun got =
+      run_machine(golden_machine(SchedulerKind::kTwoOpBlockOooFiltered, 4), kFourMix, 1,
+                  &suppressed, [](const smt::Pipeline& p) {
+                    return p.scheduler().dispatch_stats().filtered_suppressed;
+                  });
+  expect_golden(got,
+                GoldenRun{14252668427084301146ULL, 33094, 74233, 35200, 2254479, 74479});
+  EXPECT_EQ(suppressed, 112535u);
+}
+
+TEST(GoldenPathIdentity, SingleThread) {
+  std::uint64_t ooo = 0;
+  const GoldenRun got =
+      run_machine(golden_machine(SchedulerKind::kTwoOpBlockOoo, 1), {"equake"}, 1, &ooo,
+                  [](const smt::Pipeline& p) {
+                    return p.scheduler().dispatch_stats().ooo_dispatches;
+                  });
+  expect_golden(got,
+                GoldenRun{11793126610513012865ULL, 73069, 30002, 18102, 482771, 30026});
+  EXPECT_EQ(ooo, 20424u);
+}
+
+/// FNV-1a over a byte stream (the digest's hash, applied per byte).
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Checkpoints serialize every queue in logical (program) order, so the
+// byte stream is independent of how a structure lays its entries out.
+// The pause point leaves instructions in every fetch queue, LSQ and rename
+// buffer, so the pinned bytes cover all three.
+TEST(GoldenPathIdentity, MidRunCheckpointBytes) {
+  const auto w = workload(kFourMix);
+  smt::Pipeline pipe(golden_machine(SchedulerKind::kTwoOpBlockOoo, 4), w, 1);
+  pipe.run(11'000);
+  auto all_occupied = [&pipe] {
+    for (ThreadId t = 0; t < 4; ++t) {
+      if (pipe.fetch_queue_size(t) == 0 || pipe.lsq_size(t) == 0 ||
+          pipe.scheduler().buffer_size(t) == 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Cycle extra = 0;
+  for (; extra < 5'000 && !all_occupied(); ++extra) pipe.tick();
+  ASSERT_TRUE(all_occupied());
+  EXPECT_EQ(extra, 97u);
+  persist::Archive ar = persist::Archive::saver();
+  pipe.save_state(ar);
+  EXPECT_EQ(ar.bytes().size(), 259402u);
+  EXPECT_EQ(fnv1a(ar.bytes()), 5491938419190627471ULL);
 }
 
 }  // namespace

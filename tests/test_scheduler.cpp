@@ -3,6 +3,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -13,41 +14,35 @@ namespace {
 
 /// Test double: readiness is an explicit set; "oldest in ROB" is an
 /// explicit (tid -> seq) map.
-class FakeEnv final : public DispatchEnv {
- public:
-  [[nodiscard]] bool is_ready(PhysReg reg) const override {
-    return ready_.count(reg) > 0;
+struct FakeEnv {
+  [[nodiscard]] bool is_ready(PhysReg reg) const { return ready.count(reg) > 0; }
+  [[nodiscard]] bool is_oldest_in_rob(ThreadId tid, SeqNum seq) const {
+    const auto it = oldest.find(tid);
+    return it != oldest.end() && it->second == seq;
   }
-  [[nodiscard]] bool is_oldest_in_rob(ThreadId tid, SeqNum seq) const override {
-    const auto it = oldest_.find(tid);
-    return it != oldest_.end() && it->second == seq;
-  }
-  void set_ready(PhysReg reg) { ready_.insert(reg); }
-  void clear_ready(PhysReg reg) { ready_.erase(reg); }
-  void set_oldest(ThreadId tid, SeqNum seq) { oldest_[tid] = seq; }
+  void set_ready(PhysReg reg) { ready.insert(reg); }
+  void clear_ready(PhysReg reg) { ready.erase(reg); }
+  void set_oldest(ThreadId tid, SeqNum seq) { oldest[tid] = seq; }
 
- private:
-  std::set<PhysReg> ready_;
-  std::map<ThreadId, SeqNum> oldest_;
+  std::set<PhysReg> ready;
+  std::map<ThreadId, SeqNum> oldest;
 };
+static_assert(DispatchEnv<FakeEnv>);
 
-/// Accepts every offer (or the first N) and records the order.
-class RecordingIssueEnv final : public IssueEnv {
- public:
-  explicit RecordingIssueEnv(unsigned accept_limit = 1000)
-      : limit_(accept_limit) {}
-  bool try_issue(const SchedInst& inst, bool from_dab) override {
-    if (issued.size() >= limit_) return false;
+/// Accepts every offer (or the first `limit`) and records the order.
+struct RecordingIssueEnv {
+  bool try_issue(const SchedInst& inst, bool from_dab) {
+    if (issued.size() >= limit) return false;
     issued.push_back(inst);
     from_dab_flags.push_back(from_dab);
     return true;
   }
+
+  std::size_t limit = 1000;
   std::vector<SchedInst> issued;
   std::vector<bool> from_dab_flags;
-
- private:
-  std::size_t limit_;
 };
+static_assert(IssueEnv<RecordingIssueEnv>);
 
 SchedulerConfig config_for(SchedulerKind kind, std::uint32_t iq = 8) {
   SchedulerConfig cfg;
@@ -345,7 +340,8 @@ TEST(Dab, RejectedOfferKeepsInstructionParked) {
   s.insert(inst(0, 1));
   env.set_oldest(0, 1);
   (void)s.run_dispatch(2, env);
-  RecordingIssueEnv refuse(0);  // e.g. all function units busy
+  RecordingIssueEnv refuse;
+  refuse.limit = 0;  // e.g. all function units busy
   EXPECT_EQ(s.run_select(3, refuse), 0u);
   EXPECT_TRUE(s.dab_occupied(0));
 }
