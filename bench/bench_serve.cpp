@@ -13,8 +13,10 @@
 //
 // With restart=1 the load runs against a --journal-dir-backed daemon,
 // which is then torn down and restarted: the scenario times the recovery
-// (ledger replay + result reload) and byte-checks a re-served result, so
-// regressions in startup recovery show up in the latency JSON.
+// (ledger replay and compaction, plus a check that each done job's result
+// file opens -- results are read per fetch, so no result reload is timed)
+// and byte-checks a re-served result, so regressions in startup recovery
+// show up in the latency JSON.
 //
 // Knobs: clients=N requests=N (per client) sweep=2|3|4 iq=LIST warmup=N
 // horizon=N max_inflight=N queue_depth=N restart=1 quick=1 json=PATH.
@@ -249,7 +251,7 @@ int main(int argc, char** argv) {
     server->stop();
 
     // restart=1: tear the daemon down and time a fresh incarnation's
-    // recovery -- ledger replay, result reload, queue rebuild -- then
+    // recovery -- ledger replay, result-file checks, queue rebuild -- then
     // byte-check one re-served result against the reference.
     double recovery_ms = 0.0;
     std::uint64_t recovered_jobs = 0;

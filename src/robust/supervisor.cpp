@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <mutex>
@@ -52,6 +53,19 @@ std::string describe_wait_status(int status) {
 
 // ---- worker side -----------------------------------------------------------
 
+/// Closes every descriptor a freshly forked worker inherited except stdio
+/// and `keep` (its pipe's write end).  The rest belong to the forking
+/// process: in a daemon, its ledger, its client sockets and the pipes of
+/// another sweep's workers, whose supervisor reads each reaped worker's
+/// pipe to EOF -- an EOF that a copy held here would put off until this
+/// worker exits.  Best effort: without close_range (Linux 5.9) the worker
+/// still runs, holding those copies until it exits.
+void close_inherited_fds(int keep) {
+  const auto k = static_cast<unsigned>(keep);
+  if (k > 3) (void)::close_range(3, k - 1, 0);
+  (void)::close_range(k + 1, ~0U, 0);
+}
+
 /// Everything the forked child needs; plain values so fork() hands each
 /// incarnation a private copy.
 struct WorkerArgs {
@@ -67,7 +81,9 @@ struct WorkerArgs {
   persist::reset_signals_in_forked_child();
 
   std::mutex pipe_mu;  // frames must not interleave with heartbeats
-  std::atomic<bool> stop_heartbeat{false};
+  std::mutex beat_mu;
+  std::condition_variable beat_cv;
+  bool stop_heartbeat = false;  // guarded by beat_mu
 
   auto send = [&](WorkerMsg type, const std::vector<std::uint8_t>& payload) {
     const std::lock_guard<std::mutex> lock(pipe_mu);
@@ -76,16 +92,25 @@ struct WorkerArgs {
     }
   };
 
+  // The beat waits on a condition variable rather than sleeping, so
+  // quiesce() wakes it at once: a worker exits right after its last cell
+  // instead of up to one heartbeat interval later.
   std::thread heartbeat([&] {
-    while (!stop_heartbeat.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(config.tuning.heartbeat_interval_ms));
-      if (stop_heartbeat.load(std::memory_order_relaxed)) break;
+    const auto interval =
+        std::chrono::milliseconds(config.tuning.heartbeat_interval_ms);
+    std::unique_lock<std::mutex> lock(beat_mu);
+    while (!beat_cv.wait_for(lock, interval, [&] { return stop_heartbeat; })) {
+      lock.unlock();
       send(WorkerMsg::kHeartbeat, {});
+      lock.lock();
     }
   });
   auto quiesce = [&] {
-    stop_heartbeat.store(true, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lock(beat_mu);
+      stop_heartbeat = true;
+    }
+    beat_cv.notify_one();
   };
 
   for (const std::size_t cell : args.cells) {
@@ -193,10 +218,7 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
                                std::strerror(errno));
     }
     if (pid == 0) {
-      (void)::close(fds[0]);
-      for (const WorkerSlot& other : slots) {
-        if (other.fd >= 0) (void)::close(other.fd);
-      }
+      close_inherited_fds(args.pipe_fd);
       worker_main(config_, args, cell_fn);  // never returns
     }
     (void)::close(fds[1]);

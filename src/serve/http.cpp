@@ -214,6 +214,10 @@ Socket& Socket::operator=(Socket&& other) noexcept {
 
 void Socket::close() noexcept {
   if (fd_ >= 0) {
+    // shutdown() ends the connection itself, not just this descriptor: a
+    // copy inherited by a forked sweep worker must not keep the peer
+    // waiting for EOF until that worker exits.
+    (void)::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
     fd_ = -1;
   }

@@ -68,6 +68,7 @@ void apply_record(std::map<std::uint64_t, LedgerJob>& jobs,
   LedgerJob& job = jobs[id];
   job.id = id;
   if (kind == "accepted") {
+    job.accepted = true;
     job.priority = static_cast<int>(rec.at("priority").as_number());
     job.sweep = rec.at("sweep").as_bool();
     if (rec.contains("idempotency_key")) {
@@ -163,7 +164,11 @@ JobLedger::JobLedger(std::string dir)
     recovered_.reserve(jobs.size());
     for (auto& [id, job] : jobs) {
       next_id_ = std::max(next_id_, id + 1);
-      recovered_.push_back(std::move(job));
+      // An executor's `running` (or even terminal) record can land before
+      // the submitter's `accepted`; if the daemon died between the two, the
+      // client never got its 202 and the ledger never got the config.
+      // Drop the job, but never reissue its id.
+      if (job.accepted) recovered_.push_back(std::move(job));
     }
   }
 

@@ -44,6 +44,7 @@ struct LedgerJob {
   std::uint64_t ttl_ms = 0;     ///< 0 = no deadline
   bool sweep = false;
   KvConfig kv;
+  bool accepted = false;  ///< saw the `accepted` record (replay drops the job if not)
   bool started = false;  ///< saw a `running` record (interrupted if not terminal)
   bool terminal = false;
   JobState state = JobState::kQueued;  ///< terminal state when `terminal`

@@ -18,18 +18,18 @@ std::string_view job_state_name(JobState state) noexcept {
   return "unknown";
 }
 
-void EventLog::append(std::string line) {
+void EventLog::append(std::string_view line) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
-    if (lines_.size() >= kMaxLines) {
+    if (ends_.size() >= kMaxLines) {
       if (truncated_) return;
       truncated_ = true;
-      lines_.push_back(
-          R"({"kind":"events_truncated","detail":"event cap reached; further events dropped"})");
-    } else {
-      lines_.push_back(std::move(line));
+      line =
+          R"({"kind":"events_truncated","detail":"event cap reached; further events dropped"})";
     }
+    text_ += line;
+    ends_.push_back(text_.size());
   }
   cv_.notify_all();
 }
@@ -38,6 +38,8 @@ void EventLog::close() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
+    text_.shrink_to_fit();
+    ends_.shrink_to_fit();
   }
   cv_.notify_all();
 }
@@ -46,9 +48,10 @@ EventLog::Fetch EventLog::fetch(std::size_t index, int timeout_ms,
                                 std::string& line) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-               [&] { return closed_ || index < lines_.size(); });
-  if (index < lines_.size()) {
-    line = lines_[index];
+               [&] { return closed_ || index < ends_.size(); });
+  if (index < ends_.size()) {
+    const std::size_t begin = index == 0 ? 0 : ends_[index - 1];
+    line.assign(text_, begin, ends_[index] - begin);
     return Fetch::kLine;
   }
   return closed_ ? Fetch::kClosed : Fetch::kTimeout;
@@ -56,7 +59,7 @@ EventLog::Fetch EventLog::fetch(std::size_t index, int timeout_ms,
 
 std::size_t EventLog::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return lines_.size();
+  return ends_.size();
 }
 
 bool EventLog::closed() const {
@@ -216,16 +219,16 @@ std::shared_ptr<Job> JobQueue::find(std::uint64_t id) const {
 
 JobSnapshot JobQueue::snapshot(const Job& job) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return JobSnapshot{job.state, job.error, !job.result.empty()};
+  return JobSnapshot{job.state, job.error};
 }
 
-std::string JobQueue::result_bytes(const Job& job) const {
+std::optional<std::string> JobQueue::result_bytes(const Job& job) const {
   const std::lock_guard<std::mutex> lock(mu_);
   return job.result;
 }
 
-void JobQueue::finish(Job& job, JobState state, std::string result,
-                      std::string error) {
+void JobQueue::finish(Job& job, JobState state,
+                      std::optional<std::string> result, std::string error) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     job.state = state;

@@ -57,14 +57,16 @@ enum class JobState : std::uint8_t {
 /// Append-only, thread-safe line log with blocking readers.  Closed when
 /// the producing job finishes; readers then drain the remaining lines and
 /// see kClosed.  Capped at kMaxLines to bound daemon memory -- overflow
-/// drops further lines after a single truncation marker.
+/// drops further lines after a single truncation marker.  Lines are kept
+/// back to back in one buffer (per-line end offsets index it), trimmed to
+/// size on close, since a finished job's log lives as long as the daemon.
 class EventLog {
  public:
   static constexpr std::size_t kMaxLines = 65'536;
 
   enum class Fetch : std::uint8_t { kLine, kClosed, kTimeout };
 
-  void append(std::string line);
+  void append(std::string_view line);
   void close();
 
   /// Fetches the line at `index` into `line`, waiting up to `timeout_ms`:
@@ -78,7 +80,8 @@ class EventLog {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::string> lines_;
+  std::string text_;               ///< every line, no separators
+  std::vector<std::size_t> ends_;  ///< line i is text_[ends_[i-1], ends_[i])
   bool closed_ = false;
   bool truncated_ = false;
 };
@@ -87,8 +90,8 @@ class EventLog {
 /// `priority`, `idempotency_key`, `ttl_ms`, `resume_sweep` and
 /// `result_path` are immutable after enqueue; `state`/`result`/`error`
 /// are guarded by the owning JobQueue's mutex (read them through
-/// snapshot()); `cancel` is the cooperative flag the simulator polls;
-/// `events` has its own lock.
+/// snapshot() and result_bytes()); `cancel` is the cooperative flag the
+/// simulator polls; `events` has its own lock.
 struct Job {
   std::uint64_t id = 0;
   int priority = 0;
@@ -104,15 +107,16 @@ struct Job {
   EventLog events;
 
   JobState state = JobState::kQueued;
-  std::string result;  ///< exact bytes served by GET .../result (kDone)
-  std::string error;   ///< failure text (kFailed / kCancelled / kExpired)
+  /// kDone: the exact bytes GET .../result serves, or nullopt when they
+  /// are stored only in `result_path` (the daemon keeps no copy).
+  std::optional<std::string> result;
+  std::string error;  ///< failure text (kFailed / kCancelled / kExpired)
 };
 
 /// Consistent view of a job's mutable fields.
 struct JobSnapshot {
   JobState state = JobState::kQueued;
   std::string error;
-  bool has_result = false;
 };
 
 /// Aggregate queue counters for GET /v1/stats.
@@ -153,7 +157,7 @@ class JobQueue {
   [[nodiscard]] std::shared_ptr<Job> enqueue(std::shared_ptr<Job> job);
 
   /// Re-inserts a job replayed from the ledger: terminal jobs (state
-  /// pre-set, result loaded) are registered finished; anything else is
+  /// pre-set) are registered finished; anything else is
   /// re-enqueued bypassing the depth bound (it was already accepted).
   /// Fires no hooks -- the compacted ledger already records these jobs.
   void restore(std::shared_ptr<Job> job);
@@ -173,11 +177,14 @@ class JobQueue {
 
   [[nodiscard]] JobSnapshot snapshot(const Job& job) const;
 
-  /// Copy of a finished job's result bytes (empty unless kDone).
-  [[nodiscard]] std::string result_bytes(const Job& job) const;
+  /// Copy of a done job's in-memory result bytes; nullopt when they are
+  /// stored only in job.result_path.
+  [[nodiscard]] std::optional<std::string> result_bytes(const Job& job) const;
 
-  /// Terminal transition; also closes the job's event log.
-  void finish(Job& job, JobState state, std::string result,
+  /// Terminal transition; also closes the job's event log.  `result` is
+  /// the bytes to keep in memory, or nullopt once they are stored in
+  /// job.result_path.
+  void finish(Job& job, JobState state, std::optional<std::string> result,
               std::string error);
 
   /// Queued -> kCancelled (dequeued, event log closed); running -> cancel

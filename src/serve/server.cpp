@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
 #include <chrono>
+#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "obs/progress.hpp"
@@ -92,14 +94,13 @@ void ExperimentServer::recover_from_ledger() {
       job->state = rec.state;
       job->error = rec.error;
       if (rec.state == JobState::kDone) {
-        // Load eagerly so GET .../result keeps its contract (the stored
-        // bytes, verbatim) without touching the disk per request.
-        try {
-          job->result = persist::read_file(rec.result_path);
-        } catch (const std::exception& e) {
+        // The bytes stay on disk -- GET .../result reads them per fetch --
+        // so recovery only checks that the file the ledger names opens.
+        job->result_path = rec.result_path;
+        if (!std::ifstream(job->result_path)) {
           job->state = JobState::kFailed;
-          job->error = std::string("recovered job's result file is "
-                                   "unreadable: ") + e.what();
+          job->error = "recovered job's result file is unreadable: cannot "
+                       "open '" + job->result_path + "' for reading";
         }
       }
       ++recovery_.completed;
@@ -268,7 +269,7 @@ void ExperimentServer::run_job(const std::shared_ptr<Job>& job) {
   bus.subscribe(&sink);
 
   JobState final_state = JobState::kDone;
-  std::string result;
+  std::optional<std::string> result;
   std::string error;
   try {
     sim::BuiltRun built = sim::build_run_config(job->kv);
@@ -331,9 +332,11 @@ void ExperimentServer::run_job(const std::shared_ptr<Job>& job) {
     // Persist the result bytes *before* the finish hook appends the `done`
     // ledger record: a crash between the two re-runs the job on recovery
     // (deterministically, to the same bytes) instead of recording a result
-    // that does not exist.
+    // that does not exist.  Once stored, the file is the only copy: a
+    // finished job keeps its metadata and events, not its bytes.
     try {
-      persist::write_text_atomic(job->result_path, result);
+      persist::write_text_atomic(job->result_path, *result);
+      result.reset();
     } catch (const std::exception& e) {
       std::cerr << "msim_serve: cannot persist result for job " << job->id
                 << ": " << e.what() << "\n";

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "persist/atomic_file.hpp"
 #include "serve/codec.hpp"
 #include "serve/server.hpp"
 #include "sim/cli_spec.hpp"
@@ -285,8 +286,19 @@ bool ExperimentServer::handle_result(Socket& sock, const Job& job) {
   }
   // The stored bytes are exactly what sim::write_run_json /
   // sim::write_sweep_json produced -- served untouched, so a client-side
-  // `cmp` against the offline engine's file passes.
-  return respond(sock, 200, queue_.result_bytes(job), /*keep_alive=*/true);
+  // `cmp` against the offline engine's file passes.  With --journal-dir
+  // they live only in the result file, read afresh on every fetch.
+  std::optional<std::string> bytes = queue_.result_bytes(job);
+  if (!bytes) {
+    try {
+      bytes = persist::read_file(job.result_path);
+    } catch (const std::exception& e) {
+      throw HttpError(500, "job " + std::to_string(job.id) +
+                               " is done but its stored result is gone: " +
+                               e.what());
+    }
+  }
+  return respond(sock, 200, *bytes, /*keep_alive=*/true);
 }
 
 bool ExperimentServer::handle_cancel(Socket& sock, std::uint64_t id) {

@@ -75,6 +75,20 @@ void TraceGenerator::build_static_cfg() {
       1, static_cast<std::uint32_t>(mean_len / 2.0 + 0.5));
   const auto len_span = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(mean_len));
 
+  // Reserve the expected block count -- static_insts over the mean clamped
+  // draw -- plus a margin far beyond its spread, so the loop never
+  // reallocates.  The worst case (static_insts / len_base) would
+  // over-allocate about 2x.
+  double len_sum = 0.0;
+  for (std::uint64_t u = 0; u <= len_span; ++u) {
+    len_sum += static_cast<double>(
+        std::min<std::uint64_t>(kMaxBlockLen, len_base + u));
+  }
+  const auto expected_blocks = static_cast<std::size_t>(
+      static_cast<double>(static_insts) * static_cast<double>(len_span + 1) /
+      len_sum);
+  blocks_.reserve(expected_blocks + expected_blocks / 32 + 16);
+
   Addr pc = layout_.code_base;
   std::uint64_t emitted = 0;
   while (emitted < static_insts) {

@@ -17,6 +17,7 @@
 
 #include "common/config.hpp"
 #include "common/json.hpp"
+#include "persist/atomic_file.hpp"
 #include "serve/http.hpp"
 #include "serve/ledger.hpp"
 #include "serve/server.hpp"
@@ -474,6 +475,45 @@ TEST(Serve, RestartReservesCompletedJobsAndNeverReissuesIds) {
   // the replayed job's id to a new submission.
   const std::uint64_t fresh = submit(server->port(), cfg);
   EXPECT_GT(fresh, id);
+
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
+TEST(Serve, JournaledResultIsServedFromItsFileAndAMissingFileIsNamed) {
+  const std::string dir = temp_dir("msim-serve-stored");
+  ServerConfig config;
+  config.journal_dir = dir;
+  const auto server = start_server(config);
+  const std::uint64_t id = submit(
+      server->port(), R"({"sweep":2,"iq":"32","warmup":200,"horizon":1000})");
+  ASSERT_EQ(wait_state(server->port(), id, {"done", "failed"}), "done");
+
+  const KvConfig kv = make_kv({{"sweep", "2"},
+                               {"iq", "32"},
+                               {"warmup", "200"},
+                               {"horizon", "1000"}});
+  const std::string offline = offline_sweep_json(kv, /*jobs=*/1);
+  const std::string target = "/v1/jobs/" + std::to_string(id) + "/result";
+  const std::string file = serve::JobLedger::result_path(dir, id);
+  EXPECT_EQ(persist::read_file(file), offline);
+  for (int fetch = 0; fetch < 2; ++fetch) {
+    const HttpResult r = http(server->port(), "GET", target);
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.body, offline) << "fetch " << fetch;
+  }
+
+  // The daemon keeps no copy of a stored result: once the file is gone, the
+  // fetch is an error naming the file -- not stale bytes, not a dropped
+  // connection -- and the job's status is untouched.
+  std::filesystem::remove(file);
+  const HttpResult gone = http(server->port(), "GET", target);
+  EXPECT_EQ(gone.status, 500) << gone.raw;
+  const JsonValue error = JsonValue::parse(gone.body).at("error");
+  EXPECT_EQ(error.at("status").as_number(), 500.0);
+  EXPECT_NE(error.at("message").as_string().find(file), std::string::npos)
+      << gone.body;
+  EXPECT_EQ(job_status(server->port(), id).at("state").as_string(), "done");
 
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

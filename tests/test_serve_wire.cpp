@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/archive.hpp"
@@ -136,6 +138,35 @@ TEST(HttpFormat, ResponseAndChunkFraming) {
   const JsonValue doc = JsonValue::parse(err);
   EXPECT_EQ(doc.at("error").at("status").as_number(), 429.0);
   EXPECT_EQ(doc.at("error").at("message").as_string(), "queue full");
+}
+
+TEST(Socket, CloseEndsTheConnectionWhileAForkedChildHoldsACopy) {
+  // The daemon forks sweep workers while client connections are open; a
+  // worker's inherited copy of a connection must not delay the client's EOF
+  // after the daemon closed its end.
+  Listener listener("127.0.0.1", 0);
+  Socket client = Listener::connect("127.0.0.1", listener.port(), 1000);
+  Socket server = listener.accept(1000);
+  ASSERT_TRUE(client.valid());
+  ASSERT_TRUE(server.valid());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::usleep(5'000'000);  // holds every inherited descriptor, then leaves
+    ::_exit(0);
+  }
+  ASSERT_TRUE(server.write_all("bye", 1000));
+  server.close();
+  std::string got;
+  IoStatus status = IoStatus::kOk;
+  for (int reads = 0; reads < 4 && status == IoStatus::kOk; ++reads) {
+    status = client.read_some(got, 64, /*timeout_ms=*/1000);
+  }
+  ::kill(child, SIGKILL);
+  (void)::waitpid(child, nullptr, 0);
+  EXPECT_EQ(got, "bye");
+  EXPECT_EQ(status, IoStatus::kEof)
+      << "the client saw no EOF while the child held its copy";
 }
 
 // ---------------------------------------------------------------------------
@@ -607,6 +638,46 @@ TEST(JobLedger, CorruptMidFileRecordKeepsThePrefix) {
   // is not trusted, job 1 (before it) is.
   ASSERT_EQ(ledger.recovered().size(), 1u);
   EXPECT_EQ(ledger.recovered()[0].id, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JobLedger, JobWithoutAnAcceptedRecordIsDroppedAndItsIdNeverReissued) {
+  const std::string dir = ledger_dir("msim-ledger-unaccepted");
+  // An executor's `running` for job 5 reached the file before the
+  // submitter's `accepted`, and the daemon died between the two appends:
+  // the client never got a 202 and the ledger never got the config.
+  persist::write_text_atomic(dir + "/ledger.jsonl",
+                             "{\"msim_job_ledger\": 1, \"next_id\": 1}\n"
+                             "{\"record\":\"running\",\"id\":5}\n");
+  {
+    JobLedger ledger(dir);
+    EXPECT_TRUE(ledger.recovered().empty())
+        << "a config-less job would re-run with default knobs";
+    EXPECT_EQ(ledger.next_id(), 6u);
+  }
+  EXPECT_EQ(persist::read_file(dir + "/ledger.jsonl").find("accepted"),
+            std::string::npos)
+      << "compaction must not invent an `accepted` record";
+  {
+    JobLedger reopened(dir);
+    EXPECT_TRUE(reopened.recovered().empty());
+    EXPECT_EQ(reopened.next_id(), 6u) << "the dropped id must stay reserved";
+  }
+
+  // A `running` that merely precedes its own `accepted` in the file still
+  // merges into a recovered, interrupted job.
+  persist::write_text_atomic(
+      dir + "/ledger.jsonl",
+      "{\"msim_job_ledger\": 1, \"next_id\": 6}\n"
+      "{\"record\":\"running\",\"id\":7}\n"
+      "{\"record\":\"accepted\",\"id\":7,\"priority\":0,\"sweep\":false,"
+      "\"config\":{\"horizon\":\"1000\"}}\n");
+  JobLedger reordered(dir);
+  ASSERT_EQ(reordered.recovered().size(), 1u);
+  EXPECT_EQ(reordered.recovered()[0].id, 7u);
+  EXPECT_TRUE(reordered.recovered()[0].started);
+  EXPECT_EQ(reordered.recovered()[0].kv.get_string("horizon", ""), "1000");
+  EXPECT_EQ(reordered.next_id(), 8u);
   std::filesystem::remove_all(dir);
 }
 

@@ -9,7 +9,8 @@
 //   3. SweepSupervisor against a synthetic CellFn: happy path at several
 //      worker counts, SIGKILL/SIGSEGV/hang faults detected and retried,
 //      persistent faults exhausting retries into SupervisorFailures with
-//      diagnostic bundles, per-cell wall-clock timeouts.
+//      diagnostic bundles, per-cell wall-clock timeouts; workers that exit
+//      at their last cell and hold no descriptor of the forking process.
 //   4. run_sweep(isolation=process): byte-identical to the thread backend
 //      at any worker count, chaos-faulted sweeps byte-identical on every
 //      surviving cell, failed cells attributed to the exact injected grid
@@ -19,6 +20,7 @@
 //
 // Every forked child here either _exits inside supervisor code or is
 // SIGKILLed; no worker process ever returns into gtest.
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -246,6 +249,53 @@ TEST(SweepSupervisor, RunsEveryCellAtAnyWorkerCount) {
     expect_all_cells_ok(report, 13);
     EXPECT_EQ(report.workers_spawned, std::min<std::size_t>(workers, 13));
     EXPECT_EQ(report.worker_deaths, 0u);
+  }
+}
+
+TEST(SweepSupervisor, WorkersExitAtTheirLastCellNotAtTheNextHeartbeat) {
+  // A heartbeat period far longer than the whole sweep: a worker that waits
+  // out its heartbeat sleep before exiting would hold run() for >= 2 s.
+  // Each cell takes a few ms, so every worker's heartbeat thread is already
+  // asleep when the last cell finishes.
+  auto config = base_config(6, 2);
+  config.tuning.heartbeat_interval_ms = 2000;
+  config.tuning.heartbeat_timeout_ms = 10'000;
+  robust::SweepSupervisor supervisor(std::move(config));
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = supervisor.run([](std::size_t i) {
+    ::usleep(20'000);
+    robust::CellOutcome out;
+    out.payload = cell_payload(i);
+    return out;
+  });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  expect_all_cells_ok(report, 6);
+  EXPECT_EQ(report.worker_deaths, 0u);
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "run() took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms: a worker lingered after its last cell";
+}
+
+TEST(SweepSupervisor, WorkersCloseTheDescriptorsTheyInherit) {
+  // Under msim_serve this descriptor could be another sweep's worker pipe,
+  // which its supervisor reads to EOF, or a client's socket.  Each cell
+  // reports, from inside its worker, whether the forking process's
+  // descriptor is still open there.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  robust::SweepSupervisor supervisor(base_config(4, 2));
+  const auto report = supervisor.run([held = fds[1]](std::size_t) {
+    robust::CellOutcome out;
+    out.payload = {static_cast<std::uint8_t>(::fcntl(held, F_GETFD) == -1)};
+    return out;
+  });
+  (void)::close(fds[0]);
+  (void)::close(fds[1]);
+  ASSERT_EQ(report.outcomes.size(), 4u);
+  for (const auto& [i, outcome] : report.outcomes) {
+    EXPECT_EQ(outcome.payload, std::vector<std::uint8_t>{1})
+        << "cell " << i << "'s worker still holds an inherited descriptor";
   }
 }
 
