@@ -144,6 +144,13 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+std::string hex_u64(std::uint64_t v) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "0x";
+  for (int shift = 60; shift >= 0; shift -= 4) out += kHex[(v >> shift) & 0xf];
+  return out;
+}
+
 // ---- JsonValue parser -------------------------------------------------------
 
 class JsonParser {
@@ -354,6 +361,14 @@ bool JsonValue::as_bool() const {
 double JsonValue::as_number() const {
   if (type_ != Type::kNumber) type_error("number");
   return number_;
+}
+
+double JsonValue::integral_number(double lo, double hi) const {
+  const double x = as_number();
+  if (!(x >= lo && x < hi) || x != std::trunc(x)) {
+    throw std::invalid_argument("JSON number is not an integer in range");
+  }
+  return x;
 }
 
 const std::string& JsonValue::as_string() const {

@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace msim {
@@ -77,6 +79,10 @@ class JsonWriter {
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// "0x" + 16 lowercase hex digits: how reports and logs spell 64-bit
+/// digests and fingerprints, which do not survive a JSON double.
+[[nodiscard]] std::string hex_u64(std::uint64_t v);
+
 /// Parsed JSON document node.  Numbers are stored as double (sufficient for
 /// report round-trips; counters up to 2^53 are exact).
 class JsonValue {
@@ -99,11 +105,25 @@ class JsonValue {
   [[nodiscard]] const std::vector<JsonValue>& as_array() const;
   [[nodiscard]] const std::map<std::string, JsonValue>& as_object() const;
 
+  /// as_number() converted to T; throws std::invalid_argument unless the
+  /// number is integral and fits T (1.5, 1e300 and -1 for unsigned do not).
+  template <typename T>
+  [[nodiscard]] T as_integer() const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    // Both bounds are powers of two (or zero), so exact as doubles.
+    return static_cast<T>(integral_number(
+        static_cast<double>(std::numeric_limits<T>::min()),
+        2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1)));
+  }
+
   /// Object member lookup; throws std::invalid_argument when absent.
   [[nodiscard]] const JsonValue& at(std::string_view name) const;
   [[nodiscard]] bool contains(std::string_view name) const;
 
  private:
+  /// as_number() when it is an integer in [lo, hi); throws otherwise.
+  [[nodiscard]] double integral_number(double lo, double hi) const;
+
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;

@@ -11,14 +11,6 @@ namespace msim::obs {
 
 namespace {
 
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-std::string hex_u64(std::uint64_t v) {
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) out += kHexDigits[(v >> shift) & 0xf];
-  return out;
-}
-
 /// Quantizes a rate in [0, ~16) to 1/16th steps, saturating at 255.  Coarse
 /// enough that run-to-run noise inside one program phase maps to the same
 /// bucket, fine enough that distinct phases do not.

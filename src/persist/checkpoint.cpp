@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/archive.hpp"
+#include "common/json.hpp"
 #include "persist/atomic_file.hpp"
 #include "smt/pipeline.hpp"
 
@@ -12,15 +13,6 @@ namespace msim::persist {
 namespace {
 
 constexpr const char* kMagic = "msim-checkpoint";
-
-std::string hex_u64(std::uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kDigits[(v >> shift) & 0xf];
-  }
-  return out;
-}
 
 }  // namespace
 

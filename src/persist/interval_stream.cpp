@@ -1,138 +1,69 @@
 #include "persist/interval_stream.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <stdexcept>
-
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/archive.hpp"  // PersistError
-#include "common/check.hpp"
-#include "persist/atomic_file.hpp"
 
 namespace msim::persist {
 
-IntervalStreamWriter::IntervalStreamWriter(std::string path,
-                                           const obs::IntervalConfig& config,
-                                           unsigned thread_count,
-                                           std::uint64_t already_streamed)
-    : path_(std::move(path)) {
-  const std::string part = path_ + ".part";
-  const std::string header = obs::format_interval_header(config, thread_count);
-  if (already_streamed == 0) {
-    write_text_atomic(part, header + "\n");
-  } else {
-    // Resume: keep the interrupted run's header plus its first
-    // already_streamed complete record lines.  Anything past that was
-    // captured after the checkpoint being resumed and will be re-captured
-    // byte-identically; a torn final line is dropped the same way.
-    std::string existing;
-    try {
-      existing = read_file(part);
-    } catch (const std::runtime_error&) {
-      throw PersistError(
-          "interval stream: resume expects the interrupted run's '" + part +
-          "' (" + std::to_string(already_streamed) +
-          " record(s) already streamed) but it is missing or unreadable; "
-          "rerun without --resume to regenerate the stream from scratch");
-    }
-    std::string kept;
-    kept.reserve(existing.size());
-    std::size_t pos = 0;
-    std::uint64_t records = 0;
-    bool have_header = false;
-    while (pos < existing.size() && records < already_streamed) {
-      const std::size_t eol = existing.find('\n', pos);
-      if (eol == std::string::npos) break;  // torn tail: incomplete line
-      const std::string_view line(existing.data() + pos, eol - pos);
-      if (!have_header) {
+namespace {
+
+/// What the .part starts with: a fresh header, or on resume the
+/// interrupted run's header plus its first `already_streamed` complete
+/// records.  Anything past those was captured after the checkpoint being
+/// resumed and will be re-captured byte-identically; a torn final line is
+/// dropped the same way.
+std::string initial_part(const std::string& part, const std::string& header,
+                         std::uint64_t already_streamed) {
+  if (already_streamed == 0) return header + "\n";
+  std::uint64_t records = 0;
+  const auto kept = AppendLog::replay(
+      part,
+      [&](std::string_view line) {
         if (line != header) {
           throw PersistError(
               "interval stream: '" + part +
               "' has a different header than this run would write "
               "(interval= or thread count changed?); it cannot be resumed");
         }
-        have_header = true;
-      } else {
+      },
+      [&](std::string_view) {
+        if (records == already_streamed) return false;
         ++records;
-      }
-      kept.append(line);
-      kept.push_back('\n');
-      pos = eol + 1;
-    }
-    if (!have_header || records < already_streamed) {
-      throw PersistError(
-          "interval stream: '" + part + "' holds " + std::to_string(records) +
-          " complete record(s) but the checkpoint says " +
-          std::to_string(already_streamed) +
-          " were streamed; the stream and checkpoint do not belong together");
-    }
-    write_text_atomic(part, kept);
+        return true;
+      });
+  if (!kept) {
+    throw PersistError(
+        "interval stream: resume expects the interrupted run's '" + part +
+        "' (" + std::to_string(already_streamed) +
+        " record(s) already streamed) but it is missing or unreadable; "
+        "rerun without --resume to regenerate the stream from scratch");
   }
-  fd_ = ::open(part.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw std::runtime_error("cannot open interval stream '" + part +
-                             "' for appending: " + std::strerror(errno));
+  if (records < already_streamed) {
+    throw PersistError(
+        "interval stream: '" + part + "' holds " + std::to_string(records) +
+        " complete record(s) but the checkpoint says " +
+        std::to_string(already_streamed) +
+        " were streamed; the stream and checkpoint do not belong together");
   }
+  return *kept;
 }
 
-IntervalStreamWriter::~IntervalStreamWriter() {
-  // No implicit finalize: an abandoned writer (interrupt, abort) leaves the
-  // .part behind for a resume to continue from.
-  if (fd_ >= 0) (void)::close(fd_);
-}
+}  // namespace
 
-void IntervalStreamWriter::write_all(std::string_view text) {
-  std::size_t written = 0;
-  while (written < text.size()) {
-    const ::ssize_t n =
-        ::write(fd_, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("interval stream append failed for '" + path_ +
-                               ".part': " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-}
-
-void IntervalStreamWriter::sync() {
-  if (::fsync(fd_) != 0) {
-    throw std::runtime_error("interval stream fsync failed for '" + path_ +
-                             ".part': " + std::strerror(errno));
-  }
-  unsynced_ = 0;
-}
+IntervalStreamWriter::IntervalStreamWriter(const std::string& path,
+                                           const obs::IntervalConfig& config,
+                                           unsigned thread_count,
+                                           std::uint64_t already_streamed)
+    : path_(path),
+      log_(path + ".part",
+           initial_part(path + ".part",
+                        obs::format_interval_header(config, thread_count),
+                        already_streamed)) {}
 
 void IntervalStreamWriter::append(const obs::IntervalRecord& record) {
-  MSIM_CHECK(fd_ >= 0);
-  write_all(obs::format_interval_record(record) + "\n");
-  ++written_;
-  if (++unsynced_ >= kFsyncBatch) sync();
+  log_.append(obs::format_interval_record(record) + "\n");
+  if (++written_ % kFsyncBatch == 0) log_.sync();
 }
 
-void IntervalStreamWriter::finalize() {
-  MSIM_CHECK(fd_ >= 0);
-  sync();
-  (void)::close(fd_);
-  fd_ = -1;
-  const std::string part = path_ + ".part";
-  if (::rename(part.c_str(), path_.c_str()) != 0) {
-    throw std::runtime_error("cannot rename '" + part + "' to '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-  // fsync the directory so the rename itself survives a power cut (same
-  // contract as write_file_atomic).
-  std::string dir = ".";
-  if (const auto slash = path_.find_last_of('/'); slash != std::string::npos) {
-    dir = path_.substr(0, slash == 0 ? 1 : slash);
-  }
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    (void)::close(dfd);
-  }
-}
+void IntervalStreamWriter::finalize() { log_.seal(path_); }
 
 }  // namespace msim::persist

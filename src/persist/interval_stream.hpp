@@ -1,19 +1,21 @@
 // Streaming JSONL export of interval telemetry (schema msim.intervals.v1).
 //
-// The writer appends to `<path>.part` -- header line first, then one
-// compact JSON line per obs::IntervalRecord, fsynced in batches like the
-// sweep journal -- and a clean finalize() fsyncs and atomically renames to
-// `path`.  An interrupted run leaves the .part behind; the resuming run's
-// constructor validates its header and truncates it to the checkpoint's
-// stream cursor (obs::IntervalEngine::captured_total), dropping any records
-// the killed run captured after its last checkpoint, so the resumed
-// stream's final bytes match an uninterrupted run's exactly.
+// A persist::AppendLog (docs/CHECKPOINT.md, "Append-only logs") at
+// `<path>.part`: the header line first, then one compact JSON line per
+// obs::IntervalRecord, fsynced in batches of kFsyncBatch; a clean
+// finalize() seals it onto `path`.  An interrupted run leaves the .part
+// behind; the resuming run's constructor validates its header and keeps
+// exactly the checkpoint's stream cursor of records
+// (obs::IntervalEngine::captured_total), dropping any the killed run
+// captured after its last checkpoint, so the resumed stream's final bytes
+// match an uninterrupted run's exactly.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "obs/interval.hpp"
+#include "persist/atomic_file.hpp"
 
 namespace msim::persist {
 
@@ -22,17 +24,15 @@ class IntervalStreamWriter {
   /// `already_streamed` = 0 starts a fresh stream; > 0 resumes the .part
   /// left by an interrupted run (PersistError when it is missing, has a
   /// different header, or holds fewer complete records than the cursor).
-  IntervalStreamWriter(std::string path, const obs::IntervalConfig& config,
+  IntervalStreamWriter(const std::string& path,
+                       const obs::IntervalConfig& config,
                        unsigned thread_count, std::uint64_t already_streamed);
-  ~IntervalStreamWriter();
-
-  IntervalStreamWriter(const IntervalStreamWriter&) = delete;
-  IntervalStreamWriter& operator=(const IntervalStreamWriter&) = delete;
 
   void append(const obs::IntervalRecord& record);
 
-  /// Flush + fsync + rename .part over `path`.  Call on clean completion
-  /// only; after finalize() the writer is closed.
+  /// Seals the .part onto `path`.  Call on clean completion only; after
+  /// finalize() the writer is closed.  An abandoned writer (interrupt,
+  /// abort) leaves the .part behind for a resume to continue from.
   void finalize();
 
   /// Records appended by this writer (excludes resumed-over lines).
@@ -42,13 +42,9 @@ class IntervalStreamWriter {
   static constexpr std::uint64_t kFsyncBatch = 64;
 
  private:
-  void write_all(std::string_view text);
-  void sync();
-
   std::string path_;
-  int fd_ = -1;
+  AppendLog log_;
   std::uint64_t written_ = 0;
-  std::uint64_t unsynced_ = 0;
 };
 
 }  // namespace msim::persist

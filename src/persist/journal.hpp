@@ -1,15 +1,13 @@
 // Write-ahead journal for crash-recoverable sweeps.
 //
-// Append-only JSONL: the first line is a header carrying the journal format
-// version and the sweep-request fingerprint; each subsequent line records
-// one completed sweep cell run as {"cell": key, "payload": hex}.  Appends
-// are one whole line plus fsync, so a crash can lose at most the line being
-// written; the loader stops at the first malformed line (a torn tail),
-// truncates the file back to the last whole line, and resumes with
-// everything before it (without the truncation, the next append would be
-// glued onto the torn bytes and a later load would discard *both* records).
-// The payload is an opaque hex-encoded persist::Archive blob -- the journal
-// does not know what a MixResult is.
+// A persist::AppendLog (docs/CHECKPOINT.md, "Append-only logs"): the header
+// carries the journal format version and the sweep-request fingerprint;
+// each record is one completed sweep cell run as {"cell": key, "payload":
+// hex}, appended and fsynced before the sweep moves on.  Replay stops at
+// the first record that does not decode (a torn tail), and a resume keeps
+// everything before it; the cells past it re-run.  The payload is an
+// opaque hex-encoded persist::Archive blob -- the journal does not know
+// what a MixResult is.
 //
 // A sweep's journal has exactly one writer, the process that called
 // sim::run_sweep, on every execution backend: forked sweep workers hand
@@ -20,6 +18,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "persist/atomic_file.hpp"
 
 namespace msim::persist {
 
@@ -36,11 +36,7 @@ class SweepJournal {
   /// is replaced by a fresh header (atomic).  A missing file starts fresh
   /// either way, so `resume` against a journal that never got written
   /// simply runs the whole sweep.
-  SweepJournal(std::string path, std::uint64_t fingerprint, bool resume);
-  ~SweepJournal();
-
-  SweepJournal(const SweepJournal&) = delete;
-  SweepJournal& operator=(const SweepJournal&) = delete;
+  SweepJournal(const std::string& path, std::uint64_t fingerprint, bool resume);
 
   /// The payload recorded for `key`, or nullptr.  Loaded entries only;
   /// lookups do not see keys appended by this process (callers do not
@@ -54,9 +50,8 @@ class SweepJournal {
   void append(const std::string& key, const std::vector<std::uint8_t>& payload);
 
  private:
-  std::string path_;
-  int fd_ = -1;
   std::map<std::string, std::vector<std::uint8_t>> entries_;
+  AppendLog log_;  ///< after entries_: its initializer replays into them
 };
 
 }  // namespace msim::persist

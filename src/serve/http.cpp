@@ -297,6 +297,8 @@ Listener::Listener(const std::string& host, std::uint16_t port) {
   port_ = ntohs(bound.sin_port);
 }
 
+void Listener::shutdown() noexcept { (void)::shutdown(socket_.fd(), SHUT_RDWR); }
+
 Socket Listener::accept(int timeout_ms) {
   if (!socket_.valid()) return Socket{};
   pollfd pfd{socket_.fd(), POLLIN, 0};

@@ -155,6 +155,10 @@ class Listener {
   /// Socket on timeout or when the listener was closed.
   [[nodiscard]] Socket accept(int timeout_ms);
 
+  /// Wakes a thread blocked in accept(), which then returns an invalid
+  /// Socket, but keeps the descriptor: close() once that thread is joined.
+  void shutdown() noexcept;
+
   void close() noexcept { socket_.close(); }
 
   /// Dials the listener's own address (tests and the load generator).

@@ -1,18 +1,12 @@
 #include "serve/ledger.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "common/archive.hpp"  // PersistError
 #include "common/json.hpp"
-#include "persist/atomic_file.hpp"
 
 namespace msim::serve {
 
@@ -57,31 +51,56 @@ std::string transition_line(std::string_view record, std::uint64_t id,
   return os.str();
 }
 
-/// Applies one parsed record to the per-id merge.  Records can reach the
-/// file in near-but-not-exact submission order (appends are serialized,
-/// but a transition for job A may land before job B's `accepted`), so the
-/// merge is keyed by id and tolerant of any inter-job interleaving.
+/// Returns the header's next_id; PersistError refuses a file that is not
+/// a job ledger or was written by a newer format version.
+std::uint64_t decode_header(std::string_view line, const std::string& path) {
+  std::uint32_t version = 0;
+  try {
+    const JsonValue header = JsonValue::parse(line);
+    version = header.at("msim_job_ledger").as_integer<std::uint32_t>();
+    if (version <= kLedgerFormatVersion) {
+      return header.at("next_id").as_integer<std::uint64_t>();
+    }
+  } catch (const std::invalid_argument&) {
+    throw persist::PersistError("'" + path + "' is not a msim job ledger");
+  }
+  throw persist::PersistError(
+      "'" + path + "' was written by ledger format version " +
+      std::to_string(version) + " but this binary understands up to " +
+      std::to_string(kLedgerFormatVersion) +
+      "; run a newer msim_serve on this --journal-dir, or point this one "
+      "at a fresh directory");
+}
+
+/// Merges one record into the per-id state, all or nothing: every field
+/// is decoded into a copy of the job before the copy replaces it, so a
+/// record that throws std::invalid_argument changes nothing -- except that
+/// its id, once read, is reserved.  Records can reach the file in
+/// near-but-not-exact submission order (appends are serialized, but a
+/// transition for job A may land before job B's `accepted`), so the merge
+/// is keyed by id and tolerant of any inter-job interleaving.
 void apply_record(std::map<std::uint64_t, LedgerJob>& jobs,
-                  const JsonValue& rec) {
+                  std::string_view line) {
+  const JsonValue rec = JsonValue::parse(line);
   const std::string& kind = rec.at("record").as_string();
-  const auto id = static_cast<std::uint64_t>(rec.at("id").as_number());
-  LedgerJob& job = jobs[id];
+  const auto id = rec.at("id").as_integer<std::uint64_t>();
+  LedgerJob& slot = jobs[id];
+  LedgerJob job = slot;
   job.id = id;
   if (kind == "accepted") {
     job.accepted = true;
-    job.priority = static_cast<int>(rec.at("priority").as_number());
+    job.priority = rec.at("priority").as_integer<int>();
     job.sweep = rec.at("sweep").as_bool();
     if (rec.contains("idempotency_key")) {
       job.idempotency_key = rec.at("idempotency_key").as_string();
     }
     if (rec.contains("ttl_ms")) {
-      job.ttl_ms = static_cast<std::uint64_t>(rec.at("ttl_ms").as_number());
+      job.ttl_ms = rec.at("ttl_ms").as_integer<std::uint64_t>();
     }
-    KvConfig kv;
+    job.kv = KvConfig{};
     for (const auto& [key, value] : rec.at("config").as_object()) {
-      kv.set(key, value.as_string());
+      job.kv.set(key, value.as_string());
     }
-    job.kv = std::move(kv);
   } else if (kind == "running") {
     job.started = true;
   } else if (kind == "done") {
@@ -97,6 +116,50 @@ void apply_record(std::map<std::uint64_t, LedgerJob>& jobs,
   } else {
     throw std::invalid_argument("unknown ledger record kind '" + kind + "'");
   }
+  slot = std::move(job);
+}
+
+/// Replays the ledger at `path` into `next_id` and `recovered` and returns
+/// its compacted state: a fresh header carrying the persisted id counter,
+/// then one `accepted` per live job plus its terminal record.
+std::string replay_and_compact(const std::string& path, std::uint64_t& next_id,
+                               std::vector<LedgerJob>& recovered) {
+  std::map<std::uint64_t, LedgerJob> jobs;
+  (void)persist::AppendLog::replay(
+      path,
+      [&](std::string_view line) { next_id = decode_header(line, path); },
+      [&](std::string_view line) {
+        try {
+          apply_record(jobs, line);
+          return true;
+        } catch (const std::invalid_argument&) {
+          return false;  // torn or corrupt record: stop here, keep the prefix
+        }
+      });
+  recovered.reserve(jobs.size());
+  for (auto& [id, job] : jobs) {
+    next_id = std::max(next_id, id + 1);
+    // An executor's `running` (or even terminal) record can land before
+    // the submitter's `accepted`; if the daemon died between the two, the
+    // client never got its 202 and the ledger never got the config.
+    // Drop the job, but never reissue its id.
+    if (job.accepted) recovered.push_back(std::move(job));
+  }
+
+  std::string compacted = header_line(next_id);
+  for (const LedgerJob& job : recovered) {
+    compacted += accepted_line(job);
+    // `running` records are deliberately dropped: a non-terminal job is
+    // re-enqueued by recovery, and its journal (not the ledger) knows which
+    // sweep cells finished.
+    if (!job.terminal) continue;
+    compacted += job.state == JobState::kDone
+                     ? transition_line("done", job.id, "result_path",
+                                       job.result_path)
+                     : transition_line(job_state_name(job.state), job.id,
+                                       "error", job.error);
+  }
+  return compacted;
 }
 
 }  // namespace
@@ -105,132 +168,16 @@ std::string JobLedger::result_path(const std::string& dir, std::uint64_t id) {
   return dir + "/job" + std::to_string(id) + ".result.json";
 }
 
-JobLedger::JobLedger(std::string dir)
-    : dir_(std::move(dir)), path_(dir_ + "/ledger.jsonl") {
-  std::string existing;
-  bool have_file = true;
-  try {
-    existing = persist::read_file(path_);
-  } catch (const std::runtime_error&) {
-    have_file = false;  // first start in this directory
-  }
-
-  if (have_file) {
-    // Replay: strict header, then records until the first malformed line
-    // (a torn tail from a crash mid-append -- everything before it counts).
-    std::map<std::uint64_t, LedgerJob> jobs;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos < existing.size()) {
-      const std::size_t eol = existing.find('\n', pos);
-      if (eol == std::string::npos) break;  // torn tail: no newline
-      const std::string line = existing.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) continue;
-      if (first) {
-        first = false;
-        JsonValue header;
-        try {
-          header = JsonValue::parse(line);
-        } catch (const std::invalid_argument&) {
-          throw persist::PersistError("'" + path_ + "' is not a msim job ledger");
-        }
-        if (!header.is_object() || !header.contains("msim_job_ledger")) {
-          throw persist::PersistError("'" + path_ + "' is not a msim job ledger");
-        }
-        const auto version = static_cast<std::uint32_t>(
-            header.at("msim_job_ledger").as_number());
-        if (version > kLedgerFormatVersion) {
-          throw persist::PersistError(
-              "'" + path_ + "' was written by ledger format version " +
-              std::to_string(version) + " but this binary understands up to " +
-              std::to_string(kLedgerFormatVersion) +
-              "; run a newer msim_serve on this --journal-dir, or point this "
-              "one at a fresh directory");
-        }
-        next_id_ = static_cast<std::uint64_t>(header.at("next_id").as_number());
-        continue;
-      }
-      try {
-        const JsonValue rec = JsonValue::parse(line);
-        apply_record(jobs, rec);
-      } catch (const std::invalid_argument&) {
-        break;  // torn or corrupt record: stop here, keep the prefix
-      }
-    }
-    if (first) {
-      throw persist::PersistError("'" + path_ + "' is empty or has no ledger header");
-    }
-    recovered_.reserve(jobs.size());
-    for (auto& [id, job] : jobs) {
-      next_id_ = std::max(next_id_, id + 1);
-      // An executor's `running` (or even terminal) record can land before
-      // the submitter's `accepted`; if the daemon died between the two, the
-      // client never got its 202 and the ledger never got the config.
-      // Drop the job, but never reissue its id.
-      if (job.accepted) recovered_.push_back(std::move(job));
-    }
-  }
-
-  // Compact: rewrite the merged state atomically (fresh header carrying the
-  // persisted id counter, one `accepted` per live job plus its terminal
-  // record), then reopen for appends.  This both bounds the file's size and
-  // cuts any torn tail in one step -- the rename is the commit point.
-  std::string compacted = header_line(next_id_);
-  for (const LedgerJob& job : recovered_) {
-    compacted += accepted_line(job);
-    if (job.terminal) {
-      switch (job.state) {
-        case JobState::kDone:
-          compacted += transition_line("done", job.id, "result_path",
-                                       job.result_path);
-          break;
-        case JobState::kFailed:
-          compacted += transition_line("failed", job.id, "error", job.error);
-          break;
-        case JobState::kExpired:
-          compacted += transition_line("expired", job.id, "error", job.error);
-          break;
-        default:
-          compacted += transition_line("cancelled", job.id, "error",
-                                       job.error);
-          break;
-      }
-    }
-    // `running` records are deliberately dropped: a non-terminal job is
-    // re-enqueued by recovery, and its journal (not the ledger) knows which
-    // sweep cells finished.
-  }
-  persist::write_text_atomic(path_, compacted);
-
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw std::runtime_error("cannot open job ledger '" + path_ +
-                             "' for appending: " + std::strerror(errno));
-  }
-}
-
-JobLedger::~JobLedger() {
-  if (fd_ >= 0) (void)::close(fd_);
-}
+// Compaction both bounds the file's size and cuts any torn tail: the
+// atomic rewrite is the commit point.
+JobLedger::JobLedger(const std::string& dir)
+    : log_(dir + "/ledger.jsonl",
+           replay_and_compact(dir + "/ledger.jsonl", next_id_, recovered_)) {}
 
 void JobLedger::append_line(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ::ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("ledger append failed for '" + path_ +
-                               "': " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    throw std::runtime_error("ledger fsync failed for '" + path_ +
-                             "': " + std::strerror(errno));
-  }
+  log_.append(line);
+  log_.sync();
 }
 
 void JobLedger::record_accepted(const Job& job) {

@@ -1,24 +1,25 @@
 // The daemon's crash-recovering job ledger (docs/SERVICE.md, "Durability
 // & recovery").
 //
-// A write-ahead JSONL file DIR/ledger.jsonl records every job the daemon
-// ever accepted -- the full request (config knobs, priority, idempotency
-// key, TTL) plus each lifecycle transition (accepted -> running ->
-// done/failed/cancelled/expired, with the result file for done jobs).
-// Every append is one whole line followed by fsync, the same convention
-// persist::SweepJournal uses, so a kill -9 can at worst tear the final
-// line; replay stops at the first malformed line and the constructor
-// truncates the torn tail before reopening for append.
+// A persist::AppendLog (docs/CHECKPOINT.md, "Append-only logs") at
+// DIR/ledger.jsonl records every job the daemon ever accepted -- the full
+// request (config knobs, priority, idempotency key, TTL) plus each
+// lifecycle transition (accepted -> running -> done/failed/cancelled/
+// expired, with the result file for done jobs), one line plus fsync each.
+// Replay decodes every field of a record before merging it, and stops at
+// the first record that does not decode (a torn tail from kill -9, or
+// corruption): nothing of that record or any later one is applied, though
+// its id, if readable, is never reissued.
 //
 // On startup the daemon replays the ledger (JobLedger::recovered()):
 // terminal jobs are restored verbatim -- a done job's result file is
 // re-served byte-identically -- and everything else is re-enqueued in its
 // original priority/FIFO order; interrupted sweeps resume from their own
 // sweep journal.  The header persists the id counter (next_id) so a
-// restarted daemon never reissues a job id, and replay compacts the file:
-// the merged state is rewritten atomically (persist::write_text_atomic)
-// with a fresh header, so the ledger's size is bounded by the live job
-// set, not the daemon's lifetime.
+// restarted daemon never reissues a job id, and reopening compacts the
+// file: the merged state is rewritten atomically with a fresh header, so
+// the ledger's size is bounded by the live job set, not the daemon's
+// lifetime.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "persist/atomic_file.hpp"
 #include "serve/queue.hpp"
 
 namespace msim::serve {
@@ -57,10 +59,7 @@ class JobLedger {
   /// Opens (replaying and compacting) or creates `dir`/ledger.jsonl.
   /// Throws PersistError when the file is not a job ledger or was written
   /// by a newer format version, std::runtime_error on I/O failure.
-  explicit JobLedger(std::string dir);
-  ~JobLedger();
-  JobLedger(const JobLedger&) = delete;
-  JobLedger& operator=(const JobLedger&) = delete;
+  explicit JobLedger(const std::string& dir);
 
   /// Jobs replayed from the previous incarnation, ordered by id.  Valid
   /// (and immutable) after construction.
@@ -68,8 +67,8 @@ class JobLedger {
     return recovered_;
   }
 
-  /// max(header next_id, max replayed id + 1): the first id this
-  /// incarnation may issue.
+  /// max(header next_id, 1 + every id replay read, even in a refused
+  /// record): the first id this incarnation may issue.
   [[nodiscard]] std::uint64_t next_id() const noexcept { return next_id_; }
 
   // Lifecycle appends: one fsync'd line each, serialized by an internal
@@ -81,8 +80,6 @@ class JobLedger {
   void record_cancelled(std::uint64_t id, const std::string& error);
   void record_expired(std::uint64_t id, const std::string& error);
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
   /// Where a done job's result bytes live: DIR/job<id>.result.json,
   /// written atomically *before* the `done` record is appended, so a crash
   /// between the two at worst re-runs the job (deterministically, to the
@@ -93,12 +90,10 @@ class JobLedger {
  private:
   void append_line(const std::string& line);
 
-  std::string dir_;
-  std::string path_;
   std::uint64_t next_id_ = 1;
   std::vector<LedgerJob> recovered_;
   std::mutex mu_;
-  int fd_ = -1;
+  persist::AppendLog log_;  ///< last: its initializer replays into the above
 };
 
 }  // namespace msim::serve

@@ -175,8 +175,11 @@ bool ExperimentServer::finished() const {
 
 void ExperimentServer::stop() {
   if (stopping_.exchange(true)) return;
-  if (listener_) listener_->close();
+  // Release the listening descriptor only once the loop polling it has
+  // been woken and joined: closing it under the loop races its reads.
+  if (listener_) listener_->shutdown();
   if (listen_thread_.joinable()) listen_thread_.join();
+  if (listener_) listener_->close();
   queue_.stop();
   for (std::thread& t : executors_) {
     if (t.joinable()) t.join();

@@ -150,11 +150,11 @@ bool ExperimentServer::handle_submit(Socket& sock,
   }
   int priority = 0;
   if (doc.contains("priority")) {
-    const JsonValue& p = doc.at("priority");
-    if (p.type() != JsonValue::Type::kNumber) {
+    try {
+      priority = doc.at("priority").as_integer<int>();
+    } catch (const std::invalid_argument&) {
       throw HttpError(400, "\"priority\" must be an integer");
     }
-    priority = static_cast<int>(p.as_number());
   }
   std::string idempotency_key;
   if (doc.contains("idempotency_key")) {
@@ -166,13 +166,16 @@ bool ExperimentServer::handle_submit(Socket& sock,
   }
   std::uint64_t ttl_ms = 0;
   if (doc.contains("ttl_ms")) {
-    const JsonValue& t = doc.at("ttl_ms");
-    if (t.type() != JsonValue::Type::kNumber || t.as_number() < 1) {
+    try {
+      ttl_ms = doc.at("ttl_ms").as_integer<std::uint64_t>();
+    } catch (const std::invalid_argument&) {
+      // not an integer in range: refused below like 0
+    }
+    if (ttl_ms == 0) {
       throw HttpError(400,
                       "\"ttl_ms\" must be a positive integer (milliseconds "
                       "the job may wait in the queue before expiring)");
     }
-    ttl_ms = static_cast<std::uint64_t>(t.as_number());
   }
 
   KvConfig kv = kv_from_json(doc.at("config"));

@@ -111,15 +111,7 @@ void write_run_json(std::ostream& os, const RunConfig& config,
   w.kv("cycles", result.cycles);
   w.kv("throughput_ipc", result.throughput_ipc);
   w.kv("truncated", result.truncated);
-  {
-    // Hex, not a JSON number: 64-bit digests do not survive a double.
-    static constexpr char kHex[] = "0123456789abcdef";
-    std::string digest = "0x";
-    for (int shift = 60; shift >= 0; shift -= 4) {
-      digest += kHex[(result.commit_digest >> shift) & 0xf];
-    }
-    w.kv("commit_digest", digest);
-  }
+  w.kv("commit_digest", hex_u64(result.commit_digest));
   w.key("per_thread_ipc");
   w.begin_array();
   for (const double v : result.per_thread_ipc) w.value(v);

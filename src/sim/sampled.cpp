@@ -26,15 +26,6 @@ namespace msim::sim {
 
 namespace {
 
-std::string hex_u64(std::uint64_t v) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out = "0x";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out += kHex[(v >> shift) & 0xf];
-  }
-  return out;
-}
-
 /// Archive payload of the whole pipeline, held in memory: the region
 /// checkpoint set never touches the filesystem.
 std::vector<std::uint8_t> snapshot(const smt::Pipeline& pipe) {

@@ -271,6 +271,15 @@ TEST(Serve, BadSubmissionsGetActionable400s) {
   r = post(R"({"config":{"sweep":7}})");
   EXPECT_EQ(r.status, 400);
   EXPECT_NE(r.body.find("sweep"), std::string::npos);
+
+  // Integer fields take integers that fit, never a cast of any number.
+  for (const char* field :
+       {R"("priority":1.5)", R"("priority":1e300)", R"("ttl_ms":1e300)",
+        R"("ttl_ms":2.5)"}) {
+    r = post(std::string(R"({"config":{"horizon":500},)") + field + "}");
+    EXPECT_EQ(r.status, 400) << field;
+    EXPECT_NE(r.body.find("must be"), std::string::npos) << field;
+  }
 }
 
 TEST(Serve, RoutingErrorsUseTheRightStatusCodes) {

@@ -638,6 +638,22 @@ TEST(JobLedger, CorruptMidFileRecordKeepsThePrefix) {
   // is not trusted, job 1 (before it) is.
   ASSERT_EQ(ledger.recovered().size(), 1u);
   EXPECT_EQ(ledger.recovered()[0].id, 1u);
+
+  // A record that parses but lacks a field is refused whole, not
+  // half-applied: a `done` without its result_path leaves job 3 pending
+  // (it re-runs), and compaction writes no empty result_path.
+  persist::write_text_atomic(
+      dir + "/ledger.jsonl",
+      "{\"msim_job_ledger\": 1, \"next_id\": 1}\n"
+      "{\"record\":\"accepted\",\"id\":3,\"priority\":0,\"sweep\":false,"
+      "\"config\":{\"horizon\":\"1000\"}}\n"
+      "{\"record\":\"done\",\"id\":3}\n");
+  const JobLedger refused(dir);
+  ASSERT_EQ(refused.recovered().size(), 1u);
+  EXPECT_EQ(refused.recovered()[0].id, 3u);
+  EXPECT_FALSE(refused.recovered()[0].terminal);
+  EXPECT_EQ(persist::read_file(dir + "/ledger.jsonl").find("result_path"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
@@ -678,6 +694,50 @@ TEST(JobLedger, JobWithoutAnAcceptedRecordIsDroppedAndItsIdNeverReissued) {
   EXPECT_TRUE(reordered.recovered()[0].started);
   EXPECT_EQ(reordered.recovered()[0].kv.get_string("horizon", ""), "1000");
   EXPECT_EQ(reordered.next_id(), 8u);
+
+  // An `accepted` without its config is no accepted record at all: the
+  // job must not re-run with default knobs, and its id stays reserved.
+  persist::write_text_atomic(
+      dir + "/ledger.jsonl",
+      "{\"msim_job_ledger\": 1, \"next_id\": 1}\n"
+      "{\"record\":\"accepted\",\"id\":9,\"priority\":0,"
+      "\"sweep\":false}\n");
+  const JobLedger configless(dir);
+  EXPECT_TRUE(configless.recovered().empty());
+  EXPECT_EQ(configless.next_id(), 10u);
+  EXPECT_EQ(persist::read_file(dir + "/ledger.jsonl").find("accepted"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JobLedger, NumbersThatAreNotIntegersInRangeStopReplay) {
+  const std::string dir = ledger_dir("msim-ledger-nonint");
+  const std::string accepted_1 =
+      "{\"record\":\"accepted\",\"id\":1,\"priority\":0,\"sweep\":false,"
+      "\"config\":{}}\n";
+  const std::string accepted_2 =
+      "{\"record\":\"accepted\",\"id\":2,\"priority\":0,\"sweep\":false,"
+      "\"config\":{}}\n";
+  for (const std::string bad :
+       {"{\"record\":\"running\",\"id\":1e300}\n",
+        "{\"record\":\"running\",\"id\":1.5}\n",
+        "{\"record\":\"running\",\"id\":-1}\n",
+        "{\"record\":\"accepted\",\"id\":3,\"priority\":1e300,"
+        "\"sweep\":false,\"config\":{}}\n",
+        "{\"record\":\"accepted\",\"id\":3,\"priority\":0,\"ttl_ms\":2.5,"
+        "\"sweep\":false,\"config\":{}}\n"}) {
+    persist::write_text_atomic(dir + "/ledger.jsonl",
+                               "{\"msim_job_ledger\": 1, \"next_id\": 1}\n" +
+                                   accepted_1 + bad + accepted_2);
+    JobLedger ledger(dir);
+    ASSERT_EQ(ledger.recovered().size(), 1u) << bad;
+    EXPECT_EQ(ledger.recovered()[0].id, 1u) << bad;
+    EXPECT_FALSE(ledger.recovered()[0].started) << bad;
+  }
+  // The same numbers in the header make the file no ledger.
+  persist::write_text_atomic(dir + "/ledger.jsonl",
+                             "{\"msim_job_ledger\": 1, \"next_id\": 1e300}\n");
+  EXPECT_THROW(JobLedger{dir}, persist::PersistError);
   std::filesystem::remove_all(dir);
 }
 
