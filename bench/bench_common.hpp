@@ -73,19 +73,17 @@ inline BenchOptions parse_options(int argc, char** argv) {
   opts.base.warmup = cli.get_uint("warmup", 15'000);
   opts.base.horizon = cli.get_uint("horizon", 80'000);
   opts.base.seed = cli.get_uint("seed", 1);
-  const auto iq64 = cli.get_uint_list("iq", {32, 48, 64, 96, 128});
-  opts.iq_sizes.assign(iq64.begin(), iq64.end());
+  opts.iq_sizes = cli.get_uint_list<std::uint32_t>("iq", {32, 48, 64, 96, 128});
   if (cli.get_bool("quick", false)) {
     opts.base.warmup /= 4;
     opts.base.horizon /= 4;
   }
-  const std::uint64_t jobs = cli.get_uint("jobs", ThreadPool::default_parallelism());
-  if (jobs == 0) {
+  opts.jobs = cli.get_uint<unsigned>("jobs", ThreadPool::default_parallelism());
+  if (opts.jobs == 0) {
     throw std::invalid_argument(
         "jobs=0 is invalid: use jobs=1 for the serial path or jobs=N for N "
         "workers (default: hardware concurrency)");
   }
-  opts.jobs = static_cast<unsigned>(jobs);
   opts.verbose = cli.get_bool("verbose", false);
   opts.json_path = cli.get_string("json", "");
   opts.base.verify = cli.get_bool("verify", false);
@@ -93,10 +91,10 @@ inline BenchOptions parse_options(int argc, char** argv) {
   opts.journal_path = cli.get_string("checkpoint", "");
   opts.resume = cli.get_bool("resume", false);
   const std::string isolation = cli.get_string("isolation", "");
-  const std::uint64_t workers = cli.get_uint("workers", 0);
+  const unsigned workers = cli.get_uint<unsigned>("workers", 0);
   if (isolation == "process" || (isolation.empty() && workers != 0)) {
     opts.isolation = sim::SweepIsolation::kProcess;
-    opts.workers = static_cast<unsigned>(workers);
+    opts.workers = workers;
   } else if (!isolation.empty() && isolation != "thread") {
     throw std::invalid_argument("unknown isolation: '" + isolation +
                                 "' (thread | process)");

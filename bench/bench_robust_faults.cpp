@@ -464,10 +464,8 @@ int main(int argc, char** argv) {
       opts.base.warmup /= 4;
       opts.base.horizon /= 4;
     }
-    const std::uint64_t jobs =
-        cli.get_uint("jobs", ThreadPool::default_parallelism());
-    if (jobs == 0) throw std::invalid_argument("jobs=0 is invalid");
-    opts.jobs = static_cast<unsigned>(jobs);
+    opts.jobs = cli.get_uint<unsigned>("jobs", ThreadPool::default_parallelism());
+    if (opts.jobs == 0) throw std::invalid_argument("jobs=0 is invalid");
     if (opts.intensity < 0.0 || opts.intensity > 1.0) {
       throw std::invalid_argument("intensity must be in [0, 1]");
     }

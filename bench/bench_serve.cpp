@@ -77,14 +77,13 @@ Options parse(int argc, char** argv) {
     throw std::invalid_argument(msg);
   }
   Options opts;
-  opts.clients = static_cast<unsigned>(cli.get_uint("clients", 100));
-  opts.requests = static_cast<unsigned>(cli.get_uint("requests", 1));
-  opts.sweep = static_cast<unsigned>(cli.get_uint("sweep", 2));
+  opts.clients = cli.get_uint<unsigned>("clients", 100);
+  opts.requests = cli.get_uint<unsigned>("requests", 1);
+  opts.sweep = cli.get_uint<unsigned>("sweep", 2);
   opts.iq = cli.get_string("iq", "32");
   opts.warmup = cli.get_uint("warmup", 200);
   opts.horizon = cli.get_uint("horizon", 800);
-  opts.max_inflight =
-      static_cast<unsigned>(cli.get_uint("max_inflight", 0));
+  opts.max_inflight = cli.get_uint<unsigned>("max_inflight", 0);
   opts.queue_depth = cli.get_uint("queue_depth", 0);
   opts.restart = cli.get_bool("restart", false);
   opts.json_path = cli.get_string("json", "");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   sim::RunConfig base;
   base.benchmarks = {"art", "lucas"};
   base.kind = core::SchedulerKind::kTwoOpBlockOoo;
-  base.iq_entries = static_cast<std::uint32_t>(cli.get_uint("iq", 6));
+  base.iq_entries = cli.get_uint<std::uint32_t>("iq", 6);
   base.warmup = cli.get_uint("warmup", 5'000);
   base.horizon = cli.get_uint("horizon", 30'000);
   base.max_cycles = 20'000'000;  // a deadlock would otherwise hang forever
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {
     sim::RunConfig cfg = base;
     cfg.deadlock = core::DeadlockMode::kWatchdog;
-    cfg.watchdog_timeout = static_cast<std::uint32_t>(cli.get_uint("watchdog", 200));
+    cfg.watchdog_timeout = cli.get_uint<std::uint32_t>("watchdog", 200);
     report("watchdog timer", sim::run_simulation(cfg));
   }
 

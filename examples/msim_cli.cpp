@@ -148,13 +148,11 @@ void maybe_write_chrome_trace(const std::string& path,
 }
 
 /// Replays a paper figure's (kind, iq, mix) grid through the parallel sweep
-/// engine and prints the figure tables; `base` supplies everything except
-/// benchmarks, kind and IQ size.  `bus` (optional) receives sweep/cell
-/// progress events; cells are timed as "cell:<key>" scopes in `timers`.
-int run_sweep_mode(const KvConfig& cli, sim::RunConfig base, unsigned threads,
-                   unsigned jobs, obs::ProgressBus* bus,
-                   obs::TimerRegistry& timers) {
-  sim::SweepRequest req = sim::build_sweep_request(cli, base, threads, jobs);
+/// engine and prints the figure tables.  `bus` (optional) receives
+/// sweep/cell progress events; cells are timed as "cell:<key>" scopes in
+/// `timers`.
+int run_sweep_mode(const KvConfig& cli, sim::SweepRequest& req,
+                   obs::ProgressBus* bus, obs::TimerRegistry& timers) {
   // In sweep mode --checkpoint/--resume name the write-ahead cell journal:
   // a killed sweep (exit 128+N) resumes from it, replaying completed cells.
   req.journal_path = cli.get_string("checkpoint", "");
@@ -167,12 +165,12 @@ int run_sweep_mode(const KvConfig& cli, sim::RunConfig base, unsigned threads,
   req.progress_bus = bus;
   req.timers = &timers;
 
-  std::cout << "msim-ooo sweep: " << threads << " threads, " << req.kinds.size()
-            << " scheduler kind(s), " << req.iq_sizes.size()
-            << " IQ size(s), jobs=" << jobs;
+  std::cout << "msim-ooo sweep: " << req.thread_count << " threads, "
+            << req.kinds.size() << " scheduler kind(s), "
+            << req.iq_sizes.size() << " IQ size(s), jobs=" << req.jobs;
   if (req.isolation == sim::SweepIsolation::kProcess) {
     std::cout << ", isolation=process workers="
-              << (req.workers == 0 ? jobs : req.workers);
+              << (req.workers == 0 ? req.jobs : req.workers);
   }
   std::cout << "\n\n";
 
@@ -211,7 +209,7 @@ int run_sweep_mode(const KvConfig& cli, sim::RunConfig base, unsigned threads,
 
   timers.print(std::cout);
   std::cout << "sweep wall-clock " << timers.seconds("sweep") << " s at jobs="
-            << jobs << " (same seed => same numbers at any job count)\n";
+            << req.jobs << " (same seed => same numbers at any job count)\n";
   return failures.empty() ? 0 : 1;
 }
 
@@ -220,17 +218,13 @@ int run_sweep_mode(const KvConfig& cli, sim::RunConfig base, unsigned threads,
 /// per-component report (only the detailed regions were ever simulated at
 /// cycle level, so exact-mode counters do not exist).
 int run_sampled_mode(const KvConfig& cli, const sim::RunConfig& cfg,
-                     unsigned jobs, obs::TimerRegistry& timers) {
+                     const sim::SampledConfig& scfg,
+                     obs::TimerRegistry& timers) {
   if (!cli.get_string("stats_json", "").empty()) {
     throw std::invalid_argument(
         "--stats-json reports the full metric registry of an exact run; "
         "mode=sampled produces estimates -- use --sampled-json instead");
   }
-  sim::SampledConfig scfg;
-  scfg.region_length = cli.get_uint("region", scfg.region_length);
-  scfg.detail_warmup = cli.get_uint("detail_warmup", scfg.detail_warmup);
-  scfg.pilot = cli.get_uint("pilot", scfg.pilot);
-  scfg.jobs = jobs;
 
   std::cout << "msim-ooo sampled: " << core::scheduler_kind_name(cfg.kind)
             << ", " << cfg.iq_entries << "-entry IQ, "
@@ -299,23 +293,14 @@ int run_sampled_mode(const KvConfig& cli, const sim::RunConfig& cfg,
 }
 
 int run_cli(const KvConfig& cli) {
-  const unsigned sweep = static_cast<unsigned>(cli.get_uint("sweep", 0));
-  const std::uint64_t jobs =
-      cli.get_uint("jobs", ThreadPool::default_parallelism());
-  if (jobs == 0) {
-    throw std::invalid_argument(
-        "jobs=0 is invalid: use jobs=1 for the serial path or jobs=N for N "
-        "workers (default: hardware concurrency)");
-  }
-
-  // Machine, horizon, robustness and fault knobs are built by the same
-  // sim::build_run_config both front ends share (sim/config_build.hpp), so
-  // msim_cli and msim_serve cannot drift.  `built` owns the fault injector
-  // cfg.faults may point at, so it must outlive the run.
-  sim::BuiltRun built = sim::build_run_config(cli);
-  sim::RunConfig& cfg = built.config;
-  if (!built.fault_note.empty()) {
-    std::cerr << "fault injection: " << built.fault_note << "\n";
+  // Every simulation knob is read, range-checked and validated for its
+  // mode by the sim::build_job msim_serve uses too (sim/config_build.hpp),
+  // so the two front ends cannot drift.  `job.built` owns the fault
+  // injector cfg.faults may point at, so it must outlive the run.
+  sim::JobSpec job = sim::build_job(cli, ThreadPool::default_parallelism());
+  sim::RunConfig& cfg = job.config();
+  if (!job.built.fault_note.empty()) {
+    std::cerr << "fault injection: " << job.built.fault_note << "\n";
   }
   // Checkpoint / restore (docs/CHECKPOINT.md).  A SignalGuard is installed
   // in main, so every run and sweep cell polls for SIGINT/SIGTERM.
@@ -348,32 +333,21 @@ int run_cli(const KvConfig& cli) {
 
   // Interval telemetry (schema msim.intervals.v1): --interval-json without
   // an explicit interval= turns sampling on at the default period.
-  std::uint64_t interval = cli.get_uint("interval", 0);
   const std::string interval_json = cli.get_string("interval_json", "");
-  if (!interval_json.empty() && interval == 0) interval = 10'000;
-  cfg.interval_cycles = interval;
+  if (!interval_json.empty() && cfg.interval_cycles == 0) {
+    cfg.interval_cycles = 10'000;
+  }
   if (want_bus) cfg.progress_bus = &bus;
 
-  const std::string mode = cli.get_string("mode", "exact");
-  if (mode != "exact" && mode != "sampled") {
-    throw std::invalid_argument("unknown mode: '" + mode +
-                                "' (exact | sampled)");
-  }
-
-  if (sweep != 0) {
-    if (mode == "sampled") {
-      throw std::invalid_argument(
-          "mode=sampled is single-run only; sweep cells are exact "
-          "simulations (sample one configuration at a time)");
-    }
+  if (job.mode == sim::JobMode::kSweep) {
     if (!interval_json.empty()) {
       throw std::invalid_argument(
           "--interval-json is single-run only (sweep cells keep their "
           "interval rings in the journal; use interval=N with --sweep-json "
           "or --checkpoint instead)");
     }
-    const int rc = run_sweep_mode(cli, cfg, sweep, static_cast<unsigned>(jobs),
-                                  want_bus ? &bus : nullptr, timers);
+    const int rc =
+        run_sweep_mode(cli, job.sweep, want_bus ? &bus : nullptr, timers);
     maybe_write_chrome_trace(chrome_trace, timers);
     return rc;
   }
@@ -392,7 +366,7 @@ int run_cli(const KvConfig& cli) {
   if (trace_format != "konata" && trace_format != "gantt") {
     throw std::invalid_argument("unknown trace_format: '" + trace_format + "'");
   }
-  cfg.trace_capacity = cli.get_uint("trace_capacity", 0);
+  cfg.trace_capacity = cli.get_uint<std::size_t>("trace_capacity", 0);
   if (!trace_out.empty() && cfg.trace_capacity == 0) {
     cfg.trace_capacity = std::size_t{1} << 20;
   }
@@ -402,9 +376,8 @@ int run_cli(const KvConfig& cli) {
     return 0;
   }
 
-  if (mode == "sampled") {
-    const int rc =
-        run_sampled_mode(cli, cfg, static_cast<unsigned>(jobs), timers);
+  if (job.mode == sim::JobMode::kSampled) {
+    const int rc = run_sampled_mode(cli, cfg, job.sampled, timers);
     maybe_write_chrome_trace(chrome_trace, timers);
     return rc;
   }

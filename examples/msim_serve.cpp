@@ -54,10 +54,9 @@ int main(int argc, char** argv) {
 
     serve::ServerConfig config;
     config.host = cli.get_string("host", config.host);
-    config.port = static_cast<std::uint16_t>(cli.get_uint("port", 0));
+    config.port = cli.get_uint<std::uint16_t>("port", 0);
     config.queue_depth = cli.get_uint("queue_depth", config.queue_depth);
-    config.max_inflight =
-        static_cast<unsigned>(cli.get_uint("max_inflight", 2));
+    config.max_inflight = cli.get_uint<unsigned>("max_inflight", 2);
     if (config.max_inflight == 0) {
       throw std::invalid_argument(
           "max_inflight=0 would never run a job; use 1 or more executors");
@@ -72,8 +71,7 @@ int main(int argc, char** argv) {
                                     config.journal_dir + "': " + ec.message());
       }
     }
-    config.io_timeout_ms =
-        static_cast<int>(cli.get_uint("io_timeout_ms", 10'000));
+    config.io_timeout_ms = cli.get_uint<int>("io_timeout_ms", 10'000);
 
     serve::ExperimentServer server(config);
     server.start();

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const KvConfig cli = KvConfig::parse({argv + 1, static_cast<std::size_t>(argc - 1)});
 
   sim::RunConfig base;
-  base.iq_entries = static_cast<std::uint32_t>(cli.get_uint("iq", 64));
+  base.iq_entries = cli.get_uint<std::uint32_t>("iq", 64);
   base.warmup = cli.get_uint("warmup", 20'000);
   base.horizon = cli.get_uint("horizon", 100'000);
   base.seed = cli.get_uint("seed", 1);

@@ -180,13 +180,6 @@ class Archive {
     }
   }
 
-  /// Fixed-extent range (std::array, C array, SmallVec data window): the
-  /// caller owns the extent, only the elements are streamed.
-  template <typename It, typename Fn>
-  void io_range(It first, It last, Fn&& per) {
-    for (; first != last; ++first) per(*this, *first);
-  }
-
   template <typename T, typename Fn>
   void io_optional(std::optional<T>& o, Fn&& per) {
     bool engaged = o.has_value();
@@ -244,15 +237,6 @@ class Archive {
  private:
   Archive(bool saving, std::vector<std::uint8_t> bytes)
       : buf_(std::move(bytes)), saving_(saving) {}
-
-  [[nodiscard]] std::uint8_t take_byte() {
-    if (pos_ >= buf_.size()) {
-      throw PersistError("checkpoint: truncated stream (wanted byte " +
-                         std::to_string(pos_ + 1) + " of " +
-                         std::to_string(buf_.size()) + ")");
-    }
-    return buf_[pos_++];
-  }
 
   /// Bounds a declared element count against the bytes actually remaining,
   /// so a corrupt length prefix cannot trigger a huge allocation.

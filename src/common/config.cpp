@@ -23,6 +23,16 @@ T parse_number(std::string_view key, std::string_view text) {
   return value;
 }
 
+std::uint64_t parse_uint_at_most(std::string_view key, std::string_view text,
+                                 std::uint64_t max) {
+  const auto value = parse_number<std::uint64_t>(key, text);
+  if (value > max) {
+    bad("config value for '" + std::string(key) + "' exceeds " + std::to_string(max),
+        text);
+  }
+  return value;
+}
+
 }  // namespace
 
 KvConfig KvConfig::parse(std::span<const char* const> args) {
@@ -60,11 +70,6 @@ std::int64_t KvConfig::get_int(std::string_view key, std::int64_t fallback) cons
   return it == values_.end() ? fallback : parse_number<std::int64_t>(key, it->second);
 }
 
-std::uint64_t KvConfig::get_uint(std::string_view key, std::uint64_t fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : parse_number<std::uint64_t>(key, it->second);
-}
-
 double KvConfig::get_double(std::string_view key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -89,12 +94,16 @@ bool KvConfig::get_bool(std::string_view key, bool fallback) const {
                               "' is not a boolean: '" + v + "'");
 }
 
-std::vector<std::uint64_t> KvConfig::get_uint_list(
-    std::string_view key, std::vector<std::uint64_t> fallback) const {
+std::uint64_t KvConfig::uint_at_most(std::string_view key, std::uint64_t fallback,
+                                     std::uint64_t max) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  return it == values_.end() ? fallback : parse_uint_at_most(key, it->second, max);
+}
+
+std::vector<std::uint64_t> KvConfig::uint_list_at_most(std::string_view key,
+                                                       std::uint64_t max) const {
   std::vector<std::uint64_t> out;
-  const std::string& text = it->second;
+  const std::string& text = values_.find(key)->second;
   std::size_t start = 0;
   while (start <= text.size()) {
     const auto comma = text.find(',', start);
@@ -103,7 +112,7 @@ std::vector<std::uint64_t> KvConfig::get_uint_list(
     if (piece.empty()) {
       throw std::invalid_argument("empty element in list for '" + std::string(key) + "'");
     }
-    out.push_back(parse_number<std::uint64_t>(key, piece));
+    out.push_back(parse_uint_at_most(key, piece, max));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -235,15 +235,19 @@ void IssueQueue::state_io(persist::Archive& ar) {
   });
   for (std::vector<std::uint32_t>& fl : free_by_cmp_) ar.io(fl);
   for (std::uint32_t& n : per_thread_) ar.io(n);
-  ar.io(stats_.dispatched);
-  ar.io(stats_.issued);
-  ar.io(stats_.broadcasts);
-  ar.io(stats_.wakeups);
-  ar.io(stats_.comparator_ops);
-  ar.io(stats_.occupancy_integral);
-  ar.io(stats_.occupancy_samples);
-  if (ar.saving()) stats_.residency.save_state(ar);
-  else stats_.residency.load_state(ar);
+  io_iq_stats(ar, stats_);
+}
+
+void io_iq_stats(persist::Archive& ar, IqStats& s) {
+  ar.io(s.dispatched);
+  ar.io(s.issued);
+  ar.io(s.broadcasts);
+  ar.io(s.wakeups);
+  ar.io(s.comparator_ops);
+  ar.io(s.occupancy_integral);
+  ar.io(s.occupancy_samples);
+  if (ar.saving()) s.residency.save_state(ar);
+  else s.residency.load_state(ar);
 }
 
 MSIM_PERSIST_VIA_STATE_IO(IssueQueue)

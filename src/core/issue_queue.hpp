@@ -102,6 +102,9 @@ struct IqStats {
   }
 };
 
+/// IqStats's one field list, shared by checkpoints and sweep journals.
+void io_iq_stats(persist::Archive& ar, IqStats& s);
+
 class IssueQueue {
  public:
   explicit IssueQueue(const IqLayout& layout);

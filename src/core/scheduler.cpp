@@ -155,24 +155,28 @@ void Scheduler::state_io(persist::Archive& ar) {
   if (!ar.saving() && rr_start_ >= thread_count_) {
     throw persist::PersistError("checkpoint: round-robin origin out of range");
   }
-  ar.io(dstats_.cycles);
-  ar.io(dstats_.dispatched);
-  for (std::uint64_t& n : dstats_.dispatched_by_nonready) ar.io(n);
-  ar.io(dstats_.no_dispatch_cycles);
-  ar.io(dstats_.all_threads_ndi_stall_cycles);
-  ar.io(dstats_.ndi_blocked_thread_cycles);
-  ar.io(dstats_.iq_full_thread_cycles);
-  ar.io(dstats_.behind_ndi_examined);
-  ar.io(dstats_.behind_ndi_hdis);
-  ar.io(dstats_.ooo_dispatches);
-  ar.io(dstats_.ooo_dispatches_dependent);
-  ar.io(dstats_.filtered_suppressed);
-  ar.io(dstats_.dab_inserts);
-  ar.io(dstats_.dab_issues);
-  ar.io(dstats_.watchdog_flushes);
-  ar.io(dstats_.fault_forced_ndis);
-  ar.io(dstats_.fault_iq_denials);
-  ar.io(dstats_.fault_dropped_dispatches);
+  io_dispatch_stats(ar, dstats_);
+}
+
+void io_dispatch_stats(persist::Archive& ar, DispatchStats& s) {
+  ar.io(s.cycles);
+  ar.io(s.dispatched);
+  for (std::uint64_t& n : s.dispatched_by_nonready) ar.io(n);
+  ar.io(s.no_dispatch_cycles);
+  ar.io(s.all_threads_ndi_stall_cycles);
+  ar.io(s.ndi_blocked_thread_cycles);
+  ar.io(s.iq_full_thread_cycles);
+  ar.io(s.behind_ndi_examined);
+  ar.io(s.behind_ndi_hdis);
+  ar.io(s.ooo_dispatches);
+  ar.io(s.ooo_dispatches_dependent);
+  ar.io(s.filtered_suppressed);
+  ar.io(s.dab_inserts);
+  ar.io(s.dab_issues);
+  ar.io(s.watchdog_flushes);
+  ar.io(s.fault_forced_ndis);
+  ar.io(s.fault_iq_denials);
+  ar.io(s.fault_dropped_dispatches);
 }
 
 MSIM_PERSIST_VIA_STATE_IO(Scheduler)

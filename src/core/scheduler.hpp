@@ -118,6 +118,9 @@ struct DispatchStats {
   }
 };
 
+/// DispatchStats's one field list, shared by checkpoints and sweep journals.
+void io_dispatch_stats(persist::Archive& ar, DispatchStats& s);
+
 /// Result of one dispatch phase.
 struct DispatchCycleResult {
   std::uint32_t dispatched = 0;

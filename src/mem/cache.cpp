@@ -138,11 +138,15 @@ void Cache::state_io(persist::Archive& ar) {
   // min_fill_ is derived from outstanding_, not part of the format.
   min_fill_ = kCycleNever;
   for (const auto& miss : outstanding_) min_fill_ = std::min(min_fill_, miss.second);
-  ar.io(stats_.accesses);
-  ar.io(stats_.misses);
-  ar.io(stats_.coalesced_misses);
-  ar.io(stats_.mshr_stall_cycles);
-  ar.io(stats_.dirty_evictions);
+  io_cache_stats(ar, stats_);
+}
+
+void io_cache_stats(persist::Archive& ar, CacheStats& s) {
+  ar.io(s.accesses);
+  ar.io(s.misses);
+  ar.io(s.coalesced_misses);
+  ar.io(s.mshr_stall_cycles);
+  ar.io(s.dirty_evictions);
 }
 
 MSIM_PERSIST_VIA_STATE_IO(Cache)

@@ -48,6 +48,9 @@ struct CacheStats {
   }
 };
 
+/// CacheStats's one field list, shared by checkpoints and sweep journals.
+void io_cache_stats(persist::Archive& ar, CacheStats& s);
+
 /// One level of cache.  `access` updates tag state and returns the extra
 /// latency of this level; the caller (MemoryHierarchy) chains levels.
 class Cache {

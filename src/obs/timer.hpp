@@ -59,10 +59,6 @@ class TimerRegistry {
       epoch_ = std::chrono::steady_clock::now();
     }
   }
-  [[nodiscard]] bool spans_enabled() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return spans_enabled_;
-  }
 
   /// Records one completed scope (no-op unless spans are enabled).  The
   /// calling thread is mapped to a dense tid on first use.

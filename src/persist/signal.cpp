@@ -42,9 +42,4 @@ void reset_signals_in_forked_child() noexcept {
   g_pending_signal = 0;
 }
 
-void throw_if_interrupted() {
-  const int signum = signal_pending();
-  if (signum != 0) throw Interrupted(signum);
-}
-
 }  // namespace msim::persist

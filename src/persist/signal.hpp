@@ -67,7 +67,4 @@ void clear_pending_signal() noexcept;
 /// the supervisor alone owns graceful shutdown.
 void reset_signals_in_forked_child() noexcept;
 
-/// Throws Interrupted when a signal is pending.
-void throw_if_interrupted();
-
 }  // namespace msim::persist

@@ -25,7 +25,6 @@ void InvariantChecker::on_commit(ThreadId tid, SeqNum seq, Cycle now) {
   }
   w.seen = true;
   w.next = seq + 1;
-  ++commits_checked_;
 }
 
 void InvariantChecker::on_cycle_end(const smt::Pipeline& pipe, Cycle now) {
@@ -121,8 +120,6 @@ void InvariantChecker::on_cycle_end(const smt::Pipeline& pipe, Cycle now) {
                        std::to_string(held_fp) + " of " +
                        std::to_string(config.fp_phys_regs));
   }
-
-  ++cycles_checked_;
 }
 
 }  // namespace msim::robust

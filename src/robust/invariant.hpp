@@ -17,7 +17,6 @@
 //   6. LSQ occupancy equals the in-flight memory-instruction population
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -32,13 +31,6 @@ class InvariantChecker final : public smt::PipelineObserver {
   void on_commit(ThreadId tid, SeqNum seq, Cycle now) override;
   void on_cycle_end(const smt::Pipeline& pipe, Cycle now) override;
 
-  [[nodiscard]] std::uint64_t cycles_checked() const noexcept {
-    return cycles_checked_;
-  }
-  [[nodiscard]] std::uint64_t commits_checked() const noexcept {
-    return commits_checked_;
-  }
-
  private:
   struct CommitWatch {
     SeqNum next = 0;
@@ -46,8 +38,6 @@ class InvariantChecker final : public smt::PipelineObserver {
   };
 
   std::vector<CommitWatch> commit_watch_;  ///< per thread, grown on demand
-  std::uint64_t cycles_checked_ = 0;
-  std::uint64_t commits_checked_ = 0;
 };
 
 }  // namespace msim::robust

@@ -1,6 +1,7 @@
 #include "robust/worker_protocol.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <stdexcept>
@@ -149,12 +150,12 @@ ChaosPlan ChaosPlan::parse(const std::string& spec) {
                                     "' (kill | segv | hang)");
       }
       const std::string cell = item.substr(at + 1);
-      if (cell.empty() ||
-          cell.find_first_not_of("0123456789") != std::string::npos) {
+      const auto [last, ec] =
+          std::from_chars(cell.data(), cell.data() + cell.size(), fault.cell);
+      if (ec != std::errc{} || last != cell.data() + cell.size()) {
         throw std::invalid_argument("chaos: '" + cell +
                                     "' is not a grid cell index");
       }
-      fault.cell = std::stoull(cell);
       if (plan.fault_for(fault.cell) != nullptr) {
         throw std::invalid_argument("chaos: duplicate fault for cell " + cell);
       }

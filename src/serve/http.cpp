@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <sstream>
 
@@ -123,10 +124,12 @@ void HttpRequestParser::parse_head() {
                      [](unsigned char c) { return std::isdigit(c); })) {
       throw HttpError(400, "malformed Content-Length: '" + v + "'");
     }
-    content_length_ = std::stoull(v);
-    if (content_length_ > max_body_bytes_) {
-      throw HttpError(413, "request body of " + std::to_string(content_length_) +
-                               " bytes exceeds the " +
+    // All digits: the only failure left is a length beyond 64 bits, which
+    // exceeds any limit.
+    const std::errc ec =
+        std::from_chars(v.data(), v.data() + v.size(), content_length_).ec;
+    if (ec != std::errc{} || content_length_ > max_body_bytes_) {
+      throw HttpError(413, "request body of " + v + " bytes exceeds the " +
                                std::to_string(max_body_bytes_) + "-byte limit");
     }
   }

@@ -275,51 +275,37 @@ void ExperimentServer::run_job(const std::shared_ptr<Job>& job) {
   std::optional<std::string> result;
   std::string error;
   try {
-    sim::BuiltRun built = sim::build_run_config(job->kv);
-    sim::RunConfig& cfg = built.config;
+    sim::JobSpec spec = sim::build_job(job->kv, kServedDefaultJobs);
+    sim::RunConfig& cfg = spec.config();
     cfg.progress_bus = &bus;
     cfg.cancel = &job->cancel;
-    if (!job->is_sweep &&
-        job->kv.get_string("mode", "exact") == "sampled") {
-      // mode=sampled over the wire: the same engine and the same report
-      // writer msim_cli --sampled-json uses, so the served bytes equal the
-      // offline file exactly (write_sampled_json embeds no job count; the
-      // estimate is bit-identical at any jobs= value).
-      sim::SampledConfig scfg;
-      scfg.region_length = job->kv.get_uint("region", scfg.region_length);
-      scfg.detail_warmup =
-          job->kv.get_uint("detail_warmup", scfg.detail_warmup);
-      scfg.pilot = job->kv.get_uint("pilot", scfg.pilot);
-      scfg.jobs = static_cast<unsigned>(job->kv.get_uint("jobs", 1));
-      const sim::SampledResult r = sim::run_sampled(cfg, scfg);
-      std::ostringstream out;
-      sim::write_sampled_json(out, cfg, scfg, r);
-      result = out.str();
-    } else if (!job->is_sweep) {
-      const sim::RunResult r = sim::run_simulation(cfg);
-      std::ostringstream out;
-      sim::write_run_json(out, cfg, r);
-      result = out.str();
-    } else {
-      const auto threads =
-          static_cast<unsigned>(job->kv.get_uint("sweep", 0));
-      const auto jobs = static_cast<unsigned>(job->kv.get_uint("jobs", 1));
-      sim::SweepRequest req =
-          sim::build_sweep_request(job->kv, cfg, threads, jobs);
-      req.journal_path = job->journal_path;
-      // A job recovered mid-sweep resumes from its own journal: completed
-      // cells replay byte-identically, the rest are computed.
-      req.resume = job->resume_sweep && !job->journal_path.empty();
-      req.progress_bus = &bus;
-      const std::vector<sim::SweepCell> cells =
-          sim::run_sweep(req, baselines_.get(job->kv));
-      std::ostringstream out;
-      sim::write_sweep_json(out, cells);
-      result = out.str();
-      // Per-cell failures (crash isolation) degrade the grid, they do not
-      // fail the job: the served JSON records them per mix exactly as the
-      // offline engine would.
+    std::ostringstream out;
+    switch (spec.mode) {
+      case sim::JobMode::kRun:
+        sim::write_run_json(out, cfg, sim::run_simulation(cfg));
+        break;
+      case sim::JobMode::kSampled:
+        // The same engine and report writer msim_cli --sampled-json uses,
+        // so the served bytes equal the offline file exactly
+        // (write_sampled_json embeds no job count; the estimate is
+        // bit-identical at any jobs= value).
+        sim::write_sampled_json(out, cfg, spec.sampled,
+                                sim::run_sampled(cfg, spec.sampled));
+        break;
+      case sim::JobMode::kSweep:
+        spec.sweep.journal_path = job->journal_path;
+        // A job recovered mid-sweep resumes from its own journal: completed
+        // cells replay byte-identically, the rest are computed.
+        spec.sweep.resume = job->resume_sweep && !job->journal_path.empty();
+        spec.sweep.progress_bus = &bus;
+        // Per-cell failures (crash isolation) degrade the grid, they do not
+        // fail the job: the served JSON records them per mix exactly as the
+        // offline engine would.
+        sim::write_sweep_json(
+            out, sim::run_sweep(spec.sweep, baselines_.get(job->kv)));
+        break;
     }
+    result = out.str();
   } catch (const persist::Cancelled&) {
     final_state = JobState::kCancelled;
     error = job->journal_path.empty()

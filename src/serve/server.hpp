@@ -5,12 +5,12 @@
 // thread accepts sockets and hands each to a session thread; sessions
 // parse HTTP requests (serve/http.hpp) and route them (serve/session.cpp);
 // POST /v1/jobs validates the config synchronously -- JSON to KvConfig
-// (serve/codec.hpp), key partition check against sim/cli_spec.hpp, then a
-// trial sim::build_run_config -- so every rejection is a 400 with the
-// builder's own message, and only well-formed jobs enter the queue.
-// Executor threads pull jobs and run them through the very same engine
-// msim_cli uses (sim::run_simulation / sim::run_sweep), which is why a
-// served result is byte-identical to the offline run of the same config.
+// (serve/codec.hpp), key partition check against sim/cli_spec.hpp, then
+// sim::build_job -- so every rejection is a 400 with the builder's own
+// message, and only jobs that can run enter the queue.  Executor threads
+// build each job again with sim::build_job and run it through the very
+// engine msim_cli uses, which is why a served result is byte-identical to
+// the offline run of the same config.
 //
 // Sweep jobs inherit the whole robustness stack: isolation=process shards
 // the grid across robust::SweepSupervisor's forked workers, every finished
@@ -27,9 +27,9 @@
 // journal, so a kill -9 costs only the in-flight cells.
 //
 // Determinism contract: every simulation byte a client receives is
-// produced by sim::write_run_json / sim::write_sweep_json from a config
-// built by sim::build_run_config -- the daemon adds no fields, no
-// timestamps, no reordering, at any --max-inflight or workers= count.
+// produced by the sim:: report writers from a job built by sim::build_job
+// -- the daemon adds no fields, no timestamps, no reordering, at any
+// --max-inflight or workers= count.
 #pragma once
 
 #include <atomic>
@@ -48,6 +48,10 @@
 #include "sim/experiment.hpp"
 
 namespace msim::serve {
+
+/// jobs= for a served job that names none: the job runs on its executor
+/// thread, so --max-inflight bounds the daemon's simulation threads.
+inline constexpr unsigned kServedDefaultJobs = 1;
 
 struct ServerConfig {
   std::string host = "127.0.0.1";

@@ -1,8 +1,7 @@
 // HTTP routing for ExperimentServer: one function per endpoint.  The wire
 // schema (URL shapes, status codes, body formats) is documented in
 // docs/SERVICE.md -- keep the two in sync.
-#include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "serve/codec.hpp"
 #include "serve/server.hpp"
 #include "sim/cli_spec.hpp"
-#include "sim/sampled.hpp"
 
 namespace msim::serve {
 
@@ -35,13 +33,16 @@ std::vector<std::string> split_path(std::string_view target) {
   return out;
 }
 
+/// The job id in a URL segment: not all digits is a 400; all digits but
+/// too large for any issued id is nullopt -- no such job.
 std::optional<std::uint64_t> parse_id(const std::string& s) {
-  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
-        return std::isdigit(c);
-      })) {
-    return std::nullopt;
+  std::uint64_t id = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), id);
+  if (ec == std::errc::invalid_argument || end != s.data() + s.size()) {
+    throw HttpError(400, "job id must be a decimal integer, got '" + s + "'");
   }
-  return std::stoull(s);
+  if (ec == std::errc::result_out_of_range) return std::nullopt;
+  return id;
 }
 
 [[noreturn]] void method_not_allowed(const std::string& method,
@@ -87,11 +88,7 @@ bool ExperimentServer::handle_request(Socket& sock,
   if ((path.size() == 3 || path.size() == 4) && path[0] == "v1" &&
       path[1] == "jobs") {
     const std::optional<std::uint64_t> id = parse_id(path[2]);
-    if (!id) {
-      throw HttpError(400, "job id must be a decimal integer, got '" +
-                               path[2] + "'");
-    }
-    const std::shared_ptr<Job> job = queue_.find(*id);
+    const std::shared_ptr<Job> job = id ? queue_.find(*id) : nullptr;
     if (!job) {
       throw HttpError(404, "no job " + path[2] +
                                " (ids are returned by POST /v1/jobs)");
@@ -181,45 +178,12 @@ bool ExperimentServer::handle_submit(Socket& sock,
   KvConfig kv = kv_from_json(doc.at("config"));
   validate_request_keys(kv);
 
-  // Build (and for single runs validate) the config now, so a broken knob
-  // is a synchronous 400 with the builder's message instead of a job that
-  // fails later.
-  const auto sweep = static_cast<unsigned>(kv.get_uint("sweep", 0));
-  const std::string mode = kv.get_string("mode", "exact");
-  if (mode != "exact" && mode != "sampled") {
-    throw HttpError(400, "unknown mode: '" + mode + "' (exact | sampled)");
-  }
+  // Build the job now through the builder run_job uses, so a knob the
+  // engine would reject is a synchronous 400 with the builder's own
+  // message, and only jobs that can run enter the queue.
+  sim::JobMode mode = sim::JobMode::kRun;
   try {
-    sim::BuiltRun probe = sim::build_run_config(kv);
-    if (mode == "sampled") {
-      if (sweep != 0) {
-        throw std::invalid_argument(
-            "mode=sampled is single-run only; sweep cells are exact by "
-            "design");
-      }
-      sim::SampledConfig scfg;
-      scfg.region_length = kv.get_uint("region", scfg.region_length);
-      scfg.detail_warmup = kv.get_uint("detail_warmup", scfg.detail_warmup);
-      scfg.pilot = kv.get_uint("pilot", scfg.pilot);
-      scfg.validate(probe.config);
-    } else if (sweep == 0) {
-      probe.config.validate();
-    } else {
-      if (sweep < 2 || sweep > 4) {
-        throw std::invalid_argument(
-            "sweep=" + std::to_string(sweep) +
-            " is invalid: the figure sweeps cover thread counts 2, 3 and 4");
-      }
-      const std::uint64_t jobs = kv.get_uint("jobs", 1);
-      if (jobs == 0) {
-        throw std::invalid_argument("jobs=0 is invalid: use jobs>=1");
-      }
-      (void)sim::build_sweep_request(kv, probe.config,
-                                     /*thread_count=*/sweep,
-                                     static_cast<unsigned>(jobs));
-    }
-  } catch (const HttpError&) {
-    throw;
+    mode = sim::build_job(kv, kServedDefaultJobs).mode;
   } catch (const std::exception& e) {
     throw HttpError(400, std::string("invalid config: ") + e.what());
   }
@@ -228,7 +192,7 @@ bool ExperimentServer::handle_submit(Socket& sock,
   job->id = queue_.allocate_id();
   job->priority = priority;
   job->kv = std::move(kv);
-  job->is_sweep = sweep != 0;
+  job->is_sweep = mode == sim::JobMode::kSweep;
   job->idempotency_key = idempotency_key;
   job->ttl_ms = ttl_ms;
   if (!config_.journal_dir.empty()) {

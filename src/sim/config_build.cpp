@@ -72,14 +72,13 @@ BuiltRun build_run_config(const KvConfig& kv) {
   BuiltRun built;
   RunConfig& cfg = built.config;
   cfg.benchmarks = split_csv(kv.get_string("benchmarks", "gcc"));
-  if (kv.get_uint("sweep", 0) == 0) {
+  if (kv.get_uint<unsigned>("sweep", 0) == 0) {
     cfg.kind = parse_scheduler_kind(kv.get_string("sched", "traditional"));
-    cfg.iq_entries = static_cast<std::uint32_t>(kv.get_uint("iq", 64));
+    cfg.iq_entries = kv.get_uint<std::uint32_t>("iq", 64);
   }
   cfg.fetch_policy = parse_fetch_policy(kv.get_string("fetch", "icount"));
-  cfg.scan_depth = static_cast<std::uint32_t>(kv.get_uint("scan_depth", 0));
-  cfg.watchdog_timeout =
-      static_cast<std::uint32_t>(kv.get_uint("watchdog_timeout", 450));
+  cfg.scan_depth = kv.get_uint<std::uint32_t>("scan_depth", 0);
+  cfg.watchdog_timeout = kv.get_uint<std::uint32_t>("watchdog_timeout", 450);
   cfg.oracle_disambiguation = kv.get_bool("oracle_disambiguation", true);
   cfg.model_wrong_path = kv.get_bool("wrong_path", false);
   cfg.warmup = kv.get_uint("warmup", 20'000);
@@ -123,21 +122,19 @@ SweepRequest build_sweep_request(const KvConfig& kv, const RunConfig& base,
            kv.get_string("sched", "traditional,2op_block,2op_block_ooo"))) {
     req.kinds.push_back(parse_scheduler_kind(name));
   }
-  for (const std::string& s :
-       split_csv(kv.get_string("iq", "32,48,64,96,128"))) {
-    req.iq_sizes.push_back(static_cast<std::uint32_t>(std::stoul(s)));
-  }
+  req.iq_sizes =
+      kv.get_uint_list<std::uint32_t>("iq", {32, 48, 64, 96, 128});
   req.base = base;
   req.jobs = jobs;
   req.isolate_failures = kv.get_bool("isolate", true);
-  req.retries = static_cast<unsigned>(kv.get_uint("retries", 1));
+  req.retries = kv.get_uint<unsigned>("retries", 1);
   // Process isolation (docs/ROBUSTNESS.md): workers= implies the process
   // backend, so `workers=4` alone does the expected thing.
   const std::string isolation = kv.get_string("isolation", "");
-  const std::uint64_t workers = kv.get_uint("workers", 0);
+  const unsigned workers = kv.get_uint<unsigned>("workers", 0);
   if (isolation == "process" || (isolation.empty() && workers != 0)) {
     req.isolation = SweepIsolation::kProcess;
-    req.workers = static_cast<unsigned>(workers);
+    req.workers = workers;
   } else if (!isolation.empty() && isolation != "thread") {
     throw std::invalid_argument("unknown isolation: '" + isolation +
                                 "' (thread | process)");
@@ -149,6 +146,39 @@ SweepRequest build_sweep_request(const KvConfig& kv, const RunConfig& base,
   req.cell_timeout_ms = kv.get_uint("cell_timeout_ms", 0);
   req.chaos = kv.get_string("chaos", "");
   return req;
+}
+
+JobSpec build_job(const KvConfig& kv, unsigned default_jobs) {
+  const std::string mode = kv.get_string("mode", "exact");
+  if (mode != "exact" && mode != "sampled") {
+    throw std::invalid_argument("unknown mode: '" + mode + "' (exact | sampled)");
+  }
+  const unsigned sweep = kv.get_uint<unsigned>("sweep", 0);
+  if (sweep != 0 && mode == "sampled") {
+    throw std::invalid_argument(
+        "mode=sampled is single-run only; sweep cells are exact simulations");
+  }
+  const unsigned jobs = kv.get_uint<unsigned>("jobs", default_jobs);
+  if (jobs == 0) throw std::invalid_argument("jobs=0 is invalid: use jobs>=1");
+
+  JobSpec spec;
+  spec.built = build_run_config(kv);
+  if (sweep != 0) {
+    spec.mode = JobMode::kSweep;
+    spec.sweep = build_sweep_request(kv, spec.built.config, sweep, jobs);
+    spec.sweep.validate();
+  } else if (mode == "sampled") {
+    spec.mode = JobMode::kSampled;
+    SampledConfig& s = spec.sampled;
+    s.region_length = kv.get_uint("region", s.region_length);
+    s.detail_warmup = kv.get_uint("detail_warmup", s.detail_warmup);
+    s.pilot = kv.get_uint("pilot", s.pilot);
+    s.jobs = jobs;
+    s.validate(spec.built.config);
+  } else {
+    spec.built.config.validate();
+  }
+  return spec;
 }
 
 }  // namespace msim::sim

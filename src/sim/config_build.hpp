@@ -1,11 +1,11 @@
-// Shared key=value -> configuration builders for the two front ends.
+// Shared key=value -> job builders for the two front ends.
 //
 // msim_cli (examples/msim_cli.cpp) and msim_serve (src/serve/) accept the
 // same simulation knobs -- one from the command line, one from a job's JSON
-// "config" object.  Both build their RunConfig/SweepRequest through these
-// functions, so a knob's spelling, parsing and defaults cannot drift
-// between the two surfaces (tests/test_serve_wire.cpp cross-checks the key
-// sets themselves against sim/cli_spec.hpp).
+// "config" object.  Both take every job from build_job, so a knob's
+// spelling, range, defaults and checks cannot drift between the two
+// surfaces (tests/test_serve_wire.cpp cross-checks the key sets themselves
+// against sim/cli_spec.hpp).
 #pragma once
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "common/config.hpp"
 #include "sim/experiment.hpp"
 #include "sim/run.hpp"
+#include "sim/sampled.hpp"
 
 namespace msim::robust {
 class FaultInjector;
@@ -70,5 +71,27 @@ struct BuiltRun {
                                                const RunConfig& base,
                                                unsigned thread_count,
                                                unsigned jobs);
+
+enum class JobMode { kRun, kSampled, kSweep };
+
+/// A validated job.  `built` owns the fault injector; config() is the one
+/// RunConfig a caller decorates with its own surfaces (progress bus,
+/// cancel flag, signal watching, checkpoint paths) -- sweep.base in sweep
+/// mode, built.config otherwise.
+struct JobSpec {
+  JobMode mode = JobMode::kRun;
+  BuiltRun built;
+  SampledConfig sampled;  ///< kSampled only
+  SweepRequest sweep;     ///< kSweep only
+  [[nodiscard]] RunConfig& config() {
+    return mode == JobMode::kSweep ? sweep.base : built.config;
+  }
+};
+
+/// Builds a job from key=value knobs (jobs= defaults to `default_jobs`)
+/// and runs its mode's checks: RunConfig::validate, SampledConfig::validate
+/// or SweepRequest::validate.  Throws std::invalid_argument naming the
+/// knob, so a job it returns can run.
+[[nodiscard]] JobSpec build_job(const KvConfig& kv, unsigned default_jobs);
 
 }  // namespace msim::sim

@@ -146,14 +146,6 @@ namespace {
 // aggregates, so the codec covers the complete MixResult — every RunResult
 // field, not just the ones today's reports read.
 
-void io_cache_stats(persist::Archive& ar, mem::CacheStats& s) {
-  ar.io(s.accesses);
-  ar.io(s.misses);
-  ar.io(s.coalesced_misses);
-  ar.io(s.mshr_stall_cycles);
-  ar.io(s.dirty_evictions);
-}
-
 void io_run_result(persist::Archive& ar, RunResult& r) {
   ar.section("run_result");
   ar.io(r.cycles);
@@ -162,64 +154,19 @@ void io_run_result(persist::Archive& ar, RunResult& r) {
   ar.io(r.throughput_ipc);
   ar.io(r.commit_digest);
 
-  core::DispatchStats& d = r.dispatch;
-  ar.io(d.cycles);
-  ar.io(d.dispatched);
-  for (std::uint64_t& v : d.dispatched_by_nonready) ar.io(v);
-  ar.io(d.no_dispatch_cycles);
-  ar.io(d.all_threads_ndi_stall_cycles);
-  ar.io(d.ndi_blocked_thread_cycles);
-  ar.io(d.iq_full_thread_cycles);
-  ar.io(d.behind_ndi_examined);
-  ar.io(d.behind_ndi_hdis);
-  ar.io(d.ooo_dispatches);
-  ar.io(d.ooo_dispatches_dependent);
-  ar.io(d.filtered_suppressed);
-  ar.io(d.dab_inserts);
-  ar.io(d.dab_issues);
-  ar.io(d.watchdog_flushes);
-  ar.io(d.fault_forced_ndis);
-  ar.io(d.fault_iq_denials);
-  ar.io(d.fault_dropped_dispatches);
-
-  core::IqStats& q = r.iq;
-  ar.io(q.dispatched);
-  ar.io(q.issued);
-  ar.io(q.broadcasts);
-  ar.io(q.wakeups);
-  ar.io(q.comparator_ops);
-  ar.io(q.occupancy_integral);
-  ar.io(q.occupancy_samples);
-  if (ar.saving()) {
-    q.residency.save_state(ar);
-  } else {
-    q.residency.load_state(ar);
-  }
+  core::io_dispatch_stats(ar, r.dispatch);
+  core::io_iq_stats(ar, r.iq);
   ar.io(r.iq_mean_occupancy);
 
-  io_cache_stats(ar, r.memory.l1i);
-  io_cache_stats(ar, r.memory.l1d);
-  io_cache_stats(ar, r.memory.l2);
+  mem::io_cache_stats(ar, r.memory.l1i);
+  mem::io_cache_stats(ar, r.memory.l1d);
+  mem::io_cache_stats(ar, r.memory.l2);
   ar.io(r.memory.memory_accesses);
 
   ar.io(r.bpred.branches);
   ar.io(r.bpred.mispredicts);
 
-  smt::PipelineStats& p = r.pipeline;
-  ar.io(p.issued);
-  ar.io(p.load_issue_blocked);
-  ar.io(p.fetch_icache_stall_cycles);
-  ar.io(p.watchdog_flushed_instructions);
-  ar.io(p.fetch_l2_gated);
-  ar.io(p.policy_flushes);
-  ar.io(p.policy_flushed_instructions);
-  ar.io(p.wrong_path_fetched);
-  ar.io(p.wrong_path_issued);
-  ar.io(p.wrong_path_squashes);
-  ar.io(p.fault_commit_blocked_cycles);
-  ar.io(p.fault_rob_denials);
-  ar.io(p.fault_lsq_denials);
-  ar.io(p.fault_extra_latency_cycles);
+  smt::io_pipeline_stats(ar, r.pipeline);
 
   ar.io(r.truncated);
   ar.io_sequence(r.metrics, [](persist::Archive& a, obs::MetricSnapshot& m) {
@@ -604,9 +551,50 @@ class SweepExecution {
 
 }  // namespace
 
+void SweepRequest::validate() const {
+  if (thread_count < 2 || thread_count > 4) {
+    throw std::invalid_argument(
+        "sweep=" + std::to_string(thread_count) +
+        " is invalid: the figure sweeps cover thread counts 2, 3 and 4");
+  }
+  if (jobs == 0) throw std::invalid_argument("jobs=0 is invalid: use jobs>=1");
+  if (iq_sizes.empty()) throw std::invalid_argument("iq= names no IQ size");
+  if (isolation == SweepIsolation::kProcess) {
+    if (!isolate_failures) {
+      throw std::invalid_argument(
+          "isolation=process requires isolate (the supervisor degrades worker "
+          "deaths into per-cell failures, which only partial results can "
+          "report)");
+    }
+    // run_sweep adds the traditional anchor when it is not requested.
+    const bool anchored = std::ranges::find(kinds, core::SchedulerKind::kTraditional) !=
+                          kinds.end();
+    const std::size_t grid = (kinds.size() + (anchored ? 0 : 1)) * iq_sizes.size() *
+                             trace::mixes_for(thread_count).size();
+    for (const robust::WorkerFault& fault :
+         robust::ChaosPlan::parse(chaos).faults) {
+      if (fault.cell >= grid) {
+        throw std::invalid_argument(
+            "chaos: cell " + std::to_string(fault.cell) +
+            " is outside this sweep's grid of " + std::to_string(grid) +
+            " cells");
+      }
+    }
+  } else {
+    if (workers != 0) {
+      throw std::invalid_argument("workers= requires isolation=process");
+    }
+    if (cell_timeout_ms != 0) {
+      throw std::invalid_argument("cell_timeout_ms= requires isolation=process");
+    }
+    if (!chaos.empty()) {
+      throw std::invalid_argument("chaos= requires isolation=process");
+    }
+  }
+}
+
 std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& baselines) {
-  MSIM_CHECK(!request.iq_sizes.empty());
-  MSIM_CHECK(request.jobs >= 1);
+  request.validate();
   const auto mixes = trace::mixes_for(request.thread_count);
 
   // The traditional scheduler anchors every speedup; ensure it is present.
@@ -631,34 +619,9 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
     }
   }
 
-  robust::ChaosPlan chaos;
-  if (request.isolation == SweepIsolation::kProcess) {
-    if (!request.isolate_failures) {
-      throw std::invalid_argument(
-          "isolation=process requires isolate (the supervisor degrades worker "
-          "deaths into per-cell failures, which only partial results can "
-          "report)");
-    }
-    chaos = robust::ChaosPlan::parse(request.chaos);
-    for (const robust::WorkerFault& fault : chaos.faults) {
-      if (fault.cell >= grid.size()) {
-        throw std::invalid_argument(
-            "chaos: cell " + std::to_string(fault.cell) +
-            " is outside this sweep's grid of " + std::to_string(grid.size()) +
-            " cells");
-      }
-    }
-  } else {
-    if (request.workers != 0) {
-      throw std::invalid_argument("workers= requires isolation=process");
-    }
-    if (request.cell_timeout_ms != 0) {
-      throw std::invalid_argument("cell_timeout_ms= requires isolation=process");
-    }
-    if (!request.chaos.empty()) {
-      throw std::invalid_argument("chaos= requires isolation=process");
-    }
-  }
+  robust::ChaosPlan chaos = request.isolation == SweepIsolation::kProcess
+                                ? robust::ChaosPlan::parse(request.chaos)
+                                : robust::ChaosPlan{};
 
   // Crash isolation: while the grid executes, MSIM_CHECK failures throw
   // msim::CheckError instead of aborting the process.  The handler slot is

@@ -203,6 +203,12 @@ struct SweepRequest {
   /// scope, so enabling span recording yields a Chrome trace of the sweep's
   /// parallel execution.  Not owned, may be nullptr.
   obs::TimerRegistry* timers = nullptr;
+
+  /// Throws std::invalid_argument, naming the knob, for a request
+  /// run_sweep cannot execute: no mixes for thread_count, jobs=0, no IQ
+  /// size, or a backend knob the isolation does not take.  run_sweep calls
+  /// this first.
+  void validate() const;
 };
 
 /// Runs the full cross product.  kTraditional is always run (it anchors the

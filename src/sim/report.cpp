@@ -44,17 +44,6 @@ TextTable figure_table(const std::vector<SweepCell>& cells,
   return table;
 }
 
-std::string_view figure_metric_name(FigureMetric metric) noexcept {
-  switch (metric) {
-    case FigureMetric::kIpcSpeedup:       return "ipc_speedup";
-    case FigureMetric::kFairnessGain:     return "fairness_gain";
-    case FigureMetric::kThroughputIpc:    return "throughput_ipc";
-    case FigureMetric::kAllStallFraction: return "all_stall_fraction";
-    case FigureMetric::kIqResidency:      return "iq_residency";
-  }
-  return "unknown";
-}
-
 TextTable mix_table(const SweepCell& cell) {
   TextTable table({"mix", "throughput_ipc", "fairness", "all_stall_frac",
                    "iq_residency"});

@@ -4,7 +4,6 @@
 
 #include <ostream>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -33,9 +32,6 @@ enum class FigureMetric {
 
 /// Per-mix drill-down for one (kind, IQ) cell: one row per workload mix.
 [[nodiscard]] TextTable mix_table(const SweepCell& cell);
-
-/// Stable machine-readable name of a figure metric ("ipc_speedup", ...).
-[[nodiscard]] std::string_view figure_metric_name(FigureMetric metric) noexcept;
 
 /// One run as a JSON document: the resolved configuration, headline results
 /// and the full metric-registry snapshot.

@@ -955,20 +955,7 @@ void Pipeline::state_io(persist::Archive& ar) {
   ar.io(hang_last_total_);
   ar.io(hang_last_progress_);
   ar.io(commit_digest_);
-  ar.io(pstats_.issued);
-  ar.io(pstats_.load_issue_blocked);
-  ar.io(pstats_.fetch_icache_stall_cycles);
-  ar.io(pstats_.watchdog_flushed_instructions);
-  ar.io(pstats_.fetch_l2_gated);
-  ar.io(pstats_.policy_flushes);
-  ar.io(pstats_.policy_flushed_instructions);
-  ar.io(pstats_.wrong_path_fetched);
-  ar.io(pstats_.wrong_path_issued);
-  ar.io(pstats_.wrong_path_squashes);
-  ar.io(pstats_.fault_commit_blocked_cycles);
-  ar.io(pstats_.fault_rob_denials);
-  ar.io(pstats_.fault_lsq_denials);
-  ar.io(pstats_.fault_extra_latency_cycles);
+  io_pipeline_stats(ar, pstats_);
   for (const auto& ts : threads_) thread_state_io(ar, *ts);
   if (ar.saving()) rename_.save_state(ar); else rename_.load_state(ar);
   if (ar.saving()) scheduler_->save_state(ar); else scheduler_->load_state(ar);
@@ -992,5 +979,22 @@ void Pipeline::state_io(persist::Archive& ar) {
 }
 
 MSIM_PERSIST_VIA_STATE_IO(Pipeline)
+
+void io_pipeline_stats(persist::Archive& ar, PipelineStats& s) {
+  ar.io(s.issued);
+  ar.io(s.load_issue_blocked);
+  ar.io(s.fetch_icache_stall_cycles);
+  ar.io(s.watchdog_flushed_instructions);
+  ar.io(s.fetch_l2_gated);
+  ar.io(s.policy_flushes);
+  ar.io(s.policy_flushed_instructions);
+  ar.io(s.wrong_path_fetched);
+  ar.io(s.wrong_path_issued);
+  ar.io(s.wrong_path_squashes);
+  ar.io(s.fault_commit_blocked_cycles);
+  ar.io(s.fault_rob_denials);
+  ar.io(s.fault_lsq_denials);
+  ar.io(s.fault_extra_latency_cycles);
+}
 
 }  // namespace msim::smt

@@ -95,6 +95,9 @@ struct PipelineStats {
   std::uint64_t fault_extra_latency_cycles = 0;
 };
 
+/// PipelineStats's one field list, shared by checkpoints and sweep journals.
+void io_pipeline_stats(persist::Archive& ar, PipelineStats& s);
+
 /// Per-thread dispatch-stall attribution, classified once per cycle for
 /// every thread that failed to dispatch: what was the binding constraint?
 struct ThreadStallStats {
@@ -225,11 +228,7 @@ class Pipeline {
   [[nodiscard]] const bpred::BranchPredictor& predictor() const noexcept { return bpred_; }
   [[nodiscard]] const PipelineStats& stats() const noexcept { return pstats_; }
   [[nodiscard]] const LsqStats& lsq_stats(ThreadId tid) const;
-  [[nodiscard]] const FuStats& fu_stats() const noexcept { return fu_.stats(); }
   [[nodiscard]] const MachineConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ThreadStallStats& stall_stats(ThreadId tid) const {
-    return stall_stats_.at(tid);
-  }
 
   // Structure occupancies (diagnostic bundles, invariant checking).
   [[nodiscard]] std::uint32_t rob_size(ThreadId tid) const;

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -280,6 +281,25 @@ TEST(Serve, BadSubmissionsGetActionable400s) {
     EXPECT_EQ(r.status, 400) << field;
     EXPECT_NE(r.body.find("must be"), std::string::npos) << field;
   }
+
+  // What is accepted is what runs: a knob value that does not fit its
+  // field, a backend knob the sweep's isolation does not take, or an IQ
+  // list that does not parse is a 400 naming the knob, never a queued job
+  // that fails (or aborts the daemon) later.
+  const std::pair<const char*, const char*> unrunnable[] = {
+      {R"({"sweep":2,"jobs":4294967296})", "jobs"},
+      {R"({"sweep":4294967298})", "sweep"},
+      {R"({"iq":4294967360})", "iq"},
+      {R"({"sweep":2,"cell_timeout_ms":5})", "cell_timeout_ms"},
+      {R"({"sweep":2,"isolation":"process","chaos":"kill@999"})", "chaos"},
+      {R"({"sweep":2,"isolation":"process","isolate":"0"})", "isolate"},
+      {R"({"sweep":2,"iq":"abc"})", "iq"},
+  };
+  for (const auto& [config, knob] : unrunnable) {
+    r = post(std::string(R"({"config":)") + config + "}");
+    EXPECT_EQ(r.status, 400) << config;
+    EXPECT_NE(r.body.find(knob), std::string::npos) << config << ": " << r.body;
+  }
 }
 
 TEST(Serve, RoutingErrorsUseTheRightStatusCodes) {
@@ -287,6 +307,8 @@ TEST(Serve, RoutingErrorsUseTheRightStatusCodes) {
   EXPECT_EQ(http(server->port(), "GET", "/nope").status, 404);
   EXPECT_EQ(http(server->port(), "GET", "/v1/jobs/999").status, 404);
   EXPECT_EQ(http(server->port(), "GET", "/v1/jobs/abc").status, 400);
+  // All digits but beyond any issued id: no such job, not a server error.
+  EXPECT_EQ(http(server->port(), "GET", "/v1/jobs/99999999999999999999999").status, 404);
   EXPECT_EQ(http(server->port(), "DELETE", "/healthz").status, 405);
   EXPECT_EQ(http(server->port(), "GET", "/v1/shutdown").status, 405);
   const HttpResult parse_err = http(server->port(), "BAD REQUEST", "LINE");

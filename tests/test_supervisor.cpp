@@ -193,6 +193,9 @@ TEST(ChaosPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(robust::ChaosPlan::parse("explode@3"), std::invalid_argument);
   EXPECT_THROW(robust::ChaosPlan::parse("kill@"), std::invalid_argument);
   EXPECT_THROW(robust::ChaosPlan::parse("kill@abc"), std::invalid_argument);
+  EXPECT_THROW(robust::ChaosPlan::parse("kill@-1"), std::invalid_argument);
+  EXPECT_THROW(robust::ChaosPlan::parse("kill@99999999999999999999999"),
+               std::invalid_argument);
   EXPECT_THROW(robust::ChaosPlan::parse("kill"), std::invalid_argument);
   EXPECT_THROW(robust::ChaosPlan::parse("kill@3,segv@3"), std::invalid_argument);
 }
