@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -134,6 +135,9 @@ inline int guarded_main(F&& body) {
                  "resume=1)\n";
     return e.exit_code();
   } catch (const robust::SimulationAborted& e) {
+    std::cerr << "fatal: " << e.what() << "\n";
+    return 3;
+  } catch (const CheckError& e) {  // a failed MSIM_CHECK outside a run
     std::cerr << "fatal: " << e.what() << "\n";
     return 3;
   } catch (const std::exception& e) {

@@ -35,6 +35,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
@@ -549,6 +550,11 @@ int main(int argc, char** argv) {
       std::cerr << "fatal: " << e.what() << "\n(could not write diagnostic "
                 << "bundle to '" << diag_path << "': " << io.what() << ")\n";
     }
+    return 3;
+  } catch (const CheckError& e) {
+    // A failed MSIM_CHECK outside a run (a run converts it to
+    // SimulationAborted above): still a simulator fault, not a usage error.
+    std::cerr << "fatal: " << e.what() << "\n";
     return 3;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -70,10 +70,15 @@ int inspect(const KvConfig& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const KvConfig cli = KvConfig::parse({argv + 1, static_cast<std::size_t>(argc - 1)});
-  const std::string mode = cli.get_string("mode", "record");
-  if (mode == "record") return record(cli);
-  if (mode == "inspect") return inspect(cli);
-  std::cerr << "unknown mode '" << mode << "' (record | inspect)\n";
-  return 1;
+  try {
+    const KvConfig cli = KvConfig::parse({argv + 1, static_cast<std::size_t>(argc - 1)});
+    const std::string mode = cli.get_string("mode", "record");
+    if (mode == "record") return record(cli);
+    if (mode == "inspect") return inspect(cli);
+    std::cerr << "unknown mode '" << mode << "' (record | inspect)\n";
+    return 1;
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

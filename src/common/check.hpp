@@ -5,78 +5,31 @@
 // monotonicity) are checked even in release builds.  The checks are cheap
 // (integer compares) relative to the per-cycle work of the pipeline.
 //
-// By default a failed check prints the expression and calls abort(), which
-// is the right behaviour for a standalone run: the process state is
-// corrupt and a core dump is the most useful artefact.  Harnesses that run
-// many simulations in one process (the sweep engine, fault-injection
-// benches, death-free unit tests) can instead install a handler that
-// throws msim::CheckError, turning an invariant failure into a per-run
-// error that the caller can isolate and report.
+// A failed check throws msim::CheckError naming the expression and its
+// location, on every thread and in every harness.  run_simulation and the
+// sampled engine turn it into a robust::SimulationAborted with a
+// diagnostic bundle, crash-isolated sweeps record the cell as failed, and
+// msim_serve fails the job while the daemon keeps serving.
 #pragma once
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 namespace msim {
 
-/// Thrown by throwing_check_handler when an MSIM_CHECK fails.
+/// Thrown when an MSIM_CHECK fails (and by robust::InvariantChecker).
 class CheckError : public std::runtime_error {
  public:
   explicit CheckError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Receives (expression, file, line) for a failed check.  A handler may
-/// throw; if it returns normally the process aborts (the caller of
-/// MSIM_CHECK cannot continue past a failed invariant).
-using CheckHandler = void (*)(const char* expr, const char* file, int line);
-
 namespace detail {
 
-inline std::atomic<CheckHandler>& check_handler_slot() {
-  static std::atomic<CheckHandler> slot{nullptr};
-  return slot;
-}
-
-[[noreturn]] inline void check_failed(const char* expr, const char* file, int line) {
-  if (CheckHandler handler = check_handler_slot().load(std::memory_order_acquire)) {
-    handler(expr, file, line);
-  }
-  std::fprintf(stderr, "MSIM_CHECK failed: %s at %s:%d\n", expr, file, line);
-  std::abort();
-}
+/// Throws CheckError("MSIM_CHECK failed: <expr> at <file>:<line>").  Out of
+/// line and cold, so each check site stays one compare and one call.
+[[noreturn, gnu::cold]] void check_failed(const char* expr, const char* file, int line);
 
 }  // namespace detail
-
-/// Installs a process-wide failure handler; returns the previous one.
-/// Pass nullptr to restore the default abort() behaviour.
-inline CheckHandler set_check_handler(CheckHandler handler) {
-  return detail::check_handler_slot().exchange(handler, std::memory_order_acq_rel);
-}
-
-/// Handler that throws CheckError with the failing expression and location.
-[[noreturn]] inline void throwing_check_handler(const char* expr, const char* file,
-                                                int line) {
-  throw CheckError(std::string("MSIM_CHECK failed: ") + expr + " at " + file + ":" +
-                   std::to_string(line));
-}
-
-/// RAII guard: checks throw CheckError while alive, previous handler is
-/// restored on destruction.  The handler slot is process-wide, so install
-/// one guard around a whole multi-threaded region (e.g. an entire sweep),
-/// not one per worker.
-class ScopedCheckThrow {
- public:
-  ScopedCheckThrow() : prev_(set_check_handler(&throwing_check_handler)) {}
-  ~ScopedCheckThrow() { set_check_handler(prev_); }
-  ScopedCheckThrow(const ScopedCheckThrow&) = delete;
-  ScopedCheckThrow& operator=(const ScopedCheckThrow&) = delete;
-
- private:
-  CheckHandler prev_;
-};
 
 }  // namespace msim
 

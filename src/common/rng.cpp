@@ -4,6 +4,7 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace msim {
 namespace {
@@ -55,13 +56,10 @@ std::uint64_t derive_stream_seed(std::uint64_t base, std::string_view tag,
                                  std::uint64_t salt0, std::uint64_t salt1) noexcept {
   // FNV-1a over the tag bytes, then fold each ingredient through the
   // SplitMix64 finalizer so nearby inputs land far apart.
-  std::uint64_t digest = 0xcbf29ce484222325ULL;
-  for (const char c : tag) {
-    digest ^= static_cast<unsigned char>(c);
-    digest *= 0x100000001b3ULL;
-  }
+  Fnv1a digest;
+  digest.bytes(tag);
   std::uint64_t state = base;
-  for (const std::uint64_t ingredient : {digest, salt0, salt1}) {
+  for (const std::uint64_t ingredient : {digest.h, salt0, salt1}) {
     state ^= ingredient;
     state = splitmix64(state);
   }

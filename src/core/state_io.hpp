@@ -1,25 +1,13 @@
-// Shared persist::Archive field streamers for the instruction records that
-// appear in many serialized structures (issue queue, dispatch buffers, ROB,
-// LSQ, fetch queues).  Kept here so every holder serializes the same field
-// list in the same order.
+// Shared persist::Archive field streamer for the scheduler's instruction
+// records (issue queue, dispatch buffers, DAB), so every holder serializes
+// the same field list in the same order.  isa::io_dyn_inst
+// (isa/instruction_io.hpp) is its counterpart for the dynamic instructions.
 #pragma once
 
 #include "common/archive.hpp"
 #include "core/sched_types.hpp"
-#include "isa/instruction.hpp"
 
 namespace msim::core {
-
-inline void io_dyn_inst(persist::Archive& ar, isa::DynInst& d) {
-  ar.io(d.seq);
-  ar.io(d.pc);
-  ar.io(d.next_pc);
-  ar.io(d.mem_addr);
-  ar.io(d.op);
-  ar.io(d.dest);
-  for (ArchReg& s : d.src) ar.io(s);
-  ar.io(d.taken);
-}
 
 inline void io_sched_inst(persist::Archive& ar, SchedInst& si) {
   ar.io(si.tid);

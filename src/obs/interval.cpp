@@ -5,6 +5,7 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
 
 namespace msim::obs {
@@ -85,12 +86,9 @@ std::uint64_t phase_fingerprint(const ThreadIntervalSample& s,
                             static_cast<double>(s.committed)
                       : 0.0),
   };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : features) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1a f;
+  for (const std::uint8_t b : features) f.byte(b);
+  return f.h;
 }
 
 void io_interval_record(persist::Archive& ar, IntervalRecord& r) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace msim::obs {
 
@@ -34,11 +35,8 @@ std::uint64_t q_mpki(std::uint64_t misses, std::uint64_t instructions) {
 }  // namespace
 
 std::uint64_t region_fingerprint(const RegionProfile& profile) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a basis
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v & 0xff;
-    h *= 0x100000001b3ULL;
-  };
+  Fnv1a f;
+  const auto mix = [&f](std::uint64_t v) { f.byte(static_cast<std::uint8_t>(v)); };
   for (const RegionThreadProfile& t : profile.threads) {
     const double insts = t.instructions ? static_cast<double>(t.instructions) : 1.0;
     mix(q16(static_cast<double>(t.branches) / insts));
@@ -52,7 +50,7 @@ std::uint64_t region_fingerprint(const RegionProfile& profile) {
   mix(q_mpki(profile.l1i_misses, total));
   mix(q_mpki(profile.l1d_misses, total));
   mix(q_mpki(profile.l2_misses, total));
-  return h;
+  return f.h;
 }
 
 std::vector<std::uint64_t> region_features(const RegionProfile& profile) {

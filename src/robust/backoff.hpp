@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/hash.hpp"
+
 namespace msim::robust {
 
 struct BackoffPolicy {
@@ -38,15 +40,11 @@ struct BackoffPolicy {
     delay = std::min(delay, max_ms);
     if (jitter_pct != 0 && delay != 0) {
       // FNV-1a over (slot, deaths): stable across platforms.
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint64_t v : {std::uint64_t{slot}, std::uint64_t{deaths}}) {
-        for (int i = 0; i < 8; ++i) {
-          h ^= (v >> (8 * i)) & 0xff;
-          h *= 0x100000001b3ULL;
-        }
-      }
+      Fnv1a f;
+      f.u64(slot);
+      f.u64(deaths);
       const std::uint64_t amplitude = delay * jitter_pct / 100;
-      if (amplitude != 0) delay += h % (amplitude + 1);
+      if (amplitude != 0) delay += f.h % (amplitude + 1);
     }
     return std::min(delay, max_ms);
   }

@@ -10,6 +10,7 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -86,6 +87,12 @@ double BaselineCache::alone_ipc(std::string_view benchmark, std::uint32_t iq_ent
     slot->cv.notify_all();
     throw;
   }
+}
+
+BaselineCache::BaselineCache(const BaselineCache& other) : base_(other.base_) {
+  const std::lock_guard<std::mutex> lock(other.mu_);
+  done_ = other.done_;
+  computations_ = other.computations_;
 }
 
 std::size_t BaselineCache::entries() const {
@@ -226,22 +233,16 @@ MixResult decode_mix_result(const std::vector<std::uint8_t>& payload) {
 /// sweep executes, never what a completed cell contains, and a journal must
 /// resume at any job count.
 std::uint64_t sweep_fingerprint(const SweepRequest& request) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(request.base.fingerprint());
-  mix(request.thread_count);
-  mix(request.kinds.size());
+  Fnv1a f;
+  f.u64(request.base.fingerprint());
+  f.u64(request.thread_count);
+  f.u64(request.kinds.size());
   for (const core::SchedulerKind kind : request.kinds) {
-    mix(static_cast<std::uint64_t>(kind));
+    f.u64(static_cast<std::uint64_t>(kind));
   }
-  mix(request.iq_sizes.size());
-  for (const std::uint32_t iq : request.iq_sizes) mix(iq);
-  return h;
+  f.u64(request.iq_sizes.size());
+  for (const std::uint32_t iq : request.iq_sizes) f.u64(iq);
+  return f.h;
 }
 
 SweepCell aggregate_cell(core::SchedulerKind kind, std::uint32_t iq,
@@ -369,19 +370,19 @@ class SweepExecution {
     return m;
   }
 
-  /// Runs cell `i` on `base`, retrying failures under crash isolation.
-  /// Forked workers pass report_retries=false: the progress bus belongs to
-  /// the parent process.
+  /// Runs cell `i` on `base`, scoring against `baselines` and retrying
+  /// failures under crash isolation.  Forked workers pass
+  /// report_retries=false: the progress bus belongs to the parent process.
   [[nodiscard]] MixResult run_cell(std::size_t i, const RunConfig& base,
-                                   bool report_retries) const {
+                                   BaselineCache& baselines, bool report_retries) const {
     const GridPoint& p = grid_[i];
     if (!request_.isolate_failures) {
-      return run_mix(*p.mix, p.kind, p.iq, base, baselines_);
+      return run_mix(*p.mix, p.kind, p.iq, base, baselines);
     }
     std::string last_error;
     for (unsigned attempt = 1; attempt <= request_.retries + 1; ++attempt) {
       try {
-        MixResult r = run_mix(*p.mix, p.kind, p.iq, base, baselines_);
+        MixResult r = run_mix(*p.mix, p.kind, p.iq, base, baselines);
         r.attempts = attempt;
         return r;
       } catch (const persist::Interrupted&) {
@@ -407,7 +408,7 @@ class SweepExecution {
     started(i);
     std::optional<obs::ScopeTimer> timer;
     if (request_.timers) timer.emplace(*request_.timers, "cell:" + key_of(i));
-    MixResult r = run_cell(i, request_.base, /*report_retries=*/true);
+    MixResult r = run_cell(i, request_.base, baselines_, /*report_retries=*/true);
     timer.reset();
     finish(i, std::move(r), "");
   }
@@ -454,6 +455,10 @@ class SweepExecution {
     worker_base.progress_bus = nullptr;
     worker_base.watch_signals = false;
     worker_base.cancel = nullptr;
+    // Workers score against a copy holding only finished baselines.  An
+    // in-flight slot of the shared cache belongs to a parent thread that
+    // does not exist in the child, so a worker would wait on it forever.
+    BaselineCache worker_baselines(baselines_);
 
     robust::SupervisorConfig sc;
     sc.total_cells = grid_.size();
@@ -484,8 +489,9 @@ class SweepExecution {
       finish(f.cell, std::move(m), "");
     };
     robust::SweepSupervisor supervisor(std::move(sc));
-    (void)supervisor.run([this, &worker_base](std::size_t i) {
-      const MixResult r = run_cell(i, worker_base, /*report_retries=*/false);
+    (void)supervisor.run([this, &worker_base, &worker_baselines](std::size_t i) {
+      const MixResult r =
+          run_cell(i, worker_base, worker_baselines, /*report_retries=*/false);
       robust::CellOutcome out;
       out.ok = r.ok;
       out.error = r.error;
@@ -622,16 +628,8 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
   robust::ChaosPlan chaos = request.isolation == SweepIsolation::kProcess
                                 ? robust::ChaosPlan::parse(request.chaos)
                                 : robust::ChaosPlan{};
-
-  // Crash isolation: while the grid executes, MSIM_CHECK failures throw
-  // msim::CheckError instead of aborting the process.  The handler slot is
-  // process-wide, so it is installed once around the whole grid (including
-  // the serial path), never per worker.
-  std::optional<ScopedCheckThrow> check_guard;
-  if (request.isolate_failures) check_guard.emplace();
   std::vector<MixResult> results =
       SweepExecution(request, baselines, std::move(grid)).run(std::move(chaos));
-  check_guard.reset();
 
   std::vector<SweepCell> cells;
   cells.reserve(kinds.size() * request.iq_sizes.size());

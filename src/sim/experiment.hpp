@@ -50,6 +50,12 @@ class BaselineCache {
  public:
   explicit BaselineCache(RunConfig base) : base_(std::move(base)) {}
 
+  /// Copies `other`'s base config and finished baselines under its lock,
+  /// but none of its in-flight slots: a key another thread is simulating
+  /// is simulated afresh by whoever asks the copy for it.
+  BaselineCache(const BaselineCache& other);
+  BaselineCache& operator=(const BaselineCache&) = delete;
+
   /// IPC of `benchmark` running alone (traditional scheduler, `iq_entries`).
   double alone_ipc(std::string_view benchmark, std::uint32_t iq_entries);
 
@@ -175,9 +181,10 @@ struct SweepRequest {
   /// Crash isolation: catch per-cell failures (invariant violations, hang
   /// watchdog, exceptions), retry each failed cell `retries` times, and
   /// return partial results with the failures recorded per mix — one bad
-  /// cell degrades the sweep instead of destroying it.  MSIM_CHECK
-  /// failures inside isolated cells surface as msim::CheckError.
-  /// Successful cells are bit-identical with isolation on or off.
+  /// cell degrades the sweep instead of destroying it.  Without isolation
+  /// the first failure (a failed MSIM_CHECK throws msim::CheckError)
+  /// propagates out of run_sweep.  Successful cells are bit-identical with
+  /// isolation on or off.
   bool isolate_failures = true;
   unsigned retries = 1;
   /// Crash recovery (src/persist/, docs/CHECKPOINT.md): write-ahead journal

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/interval_stream.hpp"
 #include "persist/signal.hpp"
@@ -33,32 +34,15 @@ smt::MachineConfig RunConfig::machine() const {
   return mc;
 }
 
-namespace {
-
-/// Incremental FNV-1a over explicitly widened values: endianness- and
-/// platform-independent, so a fingerprint travels with its checkpoint.
-struct Fingerprint {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-
-  void byte(std::uint8_t b) noexcept {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  void u64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) noexcept {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-};
-
-}  // namespace
-
 std::uint64_t RunConfig::fingerprint() const {
-  Fingerprint f;
+  // FNV-1a over explicitly widened values: endianness- and
+  // platform-independent, so a fingerprint travels with its checkpoint.
+  Fnv1a f;
   f.u64(benchmarks.size());
-  for (const std::string& b : benchmarks) f.str(b);
+  for (const std::string& b : benchmarks) {
+    f.u64(b.size());
+    f.bytes(b);
+  }
   f.u64(static_cast<std::uint64_t>(kind));
   f.u64(iq_entries);
   f.u64(static_cast<std::uint64_t>(deadlock));
@@ -124,10 +108,10 @@ constexpr std::uint64_t kNoCap = ~std::uint64_t{0};
 /// boundaries are aligned to absolute multiples of checkpoint_every, so a
 /// checkpoint written at cycle C has the same bytes whether the run got
 /// there straight from cycle 0 or through any number of suspend/resume
-/// rounds.  With every knob off this executes the exact tick sequence of
-/// the unchunked path.
-void run_checkpointed(const RunConfig& config, smt::Pipeline& pipe,
-                      persist::RunPhase phase) {
+/// rounds.  Chunking never changes the tick sequence; with every knob off
+/// each phase is a single pipe.run call.
+void run_phases(const RunConfig& config, smt::Pipeline& pipe,
+                persist::RunPhase phase) {
   const std::uint64_t fp = config.fingerprint();
 
   auto save = [&] {
@@ -273,10 +257,6 @@ RunResult run_simulation(const RunConfig& config) {
     bus->publish(ev);
   }
 
-  const bool checkpointing = !config.checkpoint_path.empty() ||
-                             !config.resume_path.empty() ||
-                             config.checkpoint_exit_cycles != 0 ||
-                             config.watch_signals || config.cancel != nullptr;
   auto publish_abort = [&](const std::string& what) {
     if (bus) {
       obs::ProgressEvent ev(obs::ProgressKind::kRunFinish);
@@ -289,21 +269,15 @@ RunResult run_simulation(const RunConfig& config) {
     }
   };
   try {
-    if (checkpointing) {
-      run_checkpointed(config, pipe, phase);
-    } else {
-      pipe.run(config.warmup, config.max_cycles);
-      pipe.reset_stats();
-      pipe.run(config.horizon, config.max_cycles);
-    }
+    run_phases(config, pipe, phase);
   } catch (const smt::NoForwardProgress& e) {
     publish_abort(e.what());
     throw robust::SimulationAborted(
         std::string("hang watchdog: ") + e.what(),
         robust::diagnostic_bundle(pipe, e.what()));
   } catch (const CheckError& e) {
-    // An invariant (cycle-level or structural MSIM_CHECK under a throwing
-    // handler) failed; the machine state is suspect but still readable.
+    // An invariant (cycle-level or a structural MSIM_CHECK) failed; the
+    // machine state is suspect but still readable.
     publish_abort(e.what());
     throw robust::SimulationAborted(
         e.what(), robust::diagnostic_bundle(pipe, e.what()));

@@ -12,6 +12,7 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "core/sched_types.hpp"
@@ -404,13 +405,7 @@ SampledResult run_sampled(const RunConfig& base, const SampledConfig& sampled) {
                                 static_cast<double>(functional)
                           : 1.0;
   };
-  out.sampled_digest = 0xcbf29ce484222325ULL;
-  const auto mix_digest = [&out](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.sampled_digest ^= (v >> (8 * i)) & 0xff;
-      out.sampled_digest *= 0x100000001b3ULL;
-    }
-  };
+  Fnv1a digest;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const std::uint64_t r = selected[i];
     SampledRegion& sr = out.regions[r];
@@ -427,8 +422,8 @@ SampledResult run_sampled(const RunConfig& base, const SampledConfig& sampled) {
     out.intervals.insert(out.intervals.end(), m.intervals.begin(),
                          m.intervals.end());
     out.intervals_dropped += m.intervals_dropped;
-    mix_digest(r);
-    mix_digest(m.digest);
+    digest.u64(r);
+    digest.u64(m.digest);
 
     const std::uint64_t len = std::min(r * L + L, span) - r * L;
     // Replication factor: how many measured per-thread instructions this
@@ -465,6 +460,7 @@ SampledResult run_sampled(const RunConfig& base, const SampledConfig& sampled) {
     sum_w2 += w * w;
     sum_w_ipc += w * region_ipc;
   }
+  out.sampled_digest = digest.h;
   if (est_cycles > 0.0) {
     out.est_ipc = est_committed / est_cycles;
     for (unsigned t = 0; t < threads; ++t) {

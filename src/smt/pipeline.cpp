@@ -6,8 +6,8 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
-#include "core/state_io.hpp"
 #include "common/rng.hpp"
+#include "isa/instruction_io.hpp"
 
 namespace msim::smt {
 
@@ -204,9 +204,9 @@ void Pipeline::do_commit(Cycle now) {
       }
       rename_.commit(tid, head.inst.dest, head.dest_phys, head.prev_dest_phys);
       tracer_.record(now, tid, head.inst.seq, obs::TraceStage::kCommit);
-      mix_digest(tid);
-      mix_digest(head.inst.seq);
-      mix_digest(now);
+      commit_digest_.u64(tid);
+      commit_digest_.u64(head.inst.seq);
+      commit_digest_.u64(now);
       if (observer_) observer_->on_commit(tid, head.inst.seq, now);
       ts.rob.pop_head();
       ++ts.committed;
@@ -915,10 +915,10 @@ void Pipeline::trace_squash(ThreadId tid, SeqNum min_seq, Cycle now) {
 void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
   ar.section("thread");
   if (ar.saving()) ts.gen.save_state(ar); else ts.gen.load_state(ar);
-  ar.io_sequence(ts.replay, core::io_dyn_inst);
-  ar.io_optional(ts.pending, core::io_dyn_inst);
+  ar.io_sequence(ts.replay, isa::io_dyn_inst);
+  ar.io_optional(ts.pending, isa::io_dyn_inst);
   ar.io_ring(ts.fetch_queue, "fetch queue", [](persist::Archive& a, FetchedInst& f) {
-    core::io_dyn_inst(a, f.inst);
+    isa::io_dyn_inst(a, f.inst);
     a.io(f.fetched_at);
     a.io(f.mispredicted);
     a.io(f.wrong_path);
@@ -954,7 +954,7 @@ void Pipeline::state_io(persist::Archive& ar) {
   ar.io(stats_base_cycle_);
   ar.io(hang_last_total_);
   ar.io(hang_last_progress_);
-  ar.io(commit_digest_);
+  ar.io(commit_digest_.h);
   io_pipeline_stats(ar, pstats_);
   for (const auto& ts : threads_) thread_state_io(ar, *ts);
   if (ar.saving()) rename_.save_state(ar); else rename_.load_state(ar);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bpred/predictor.hpp"
+#include "common/hash.hpp"
 #include "common/ring.hpp"
 #include "core/scheduler.hpp"
 #include "mem/hierarchy.hpp"
@@ -203,7 +204,7 @@ class Pipeline {
   /// Running FNV-1a digest over the committed-instruction stream
   /// (tid, seq, cycle per commit), never reset: two runs are behaviourally
   /// identical iff their digests match.  Checkpoint/resume preserves it.
-  [[nodiscard]] std::uint64_t commit_digest() const noexcept { return commit_digest_; }
+  [[nodiscard]] std::uint64_t commit_digest() const noexcept { return commit_digest_.h; }
   [[nodiscard]] unsigned thread_count() const noexcept { return config_.thread_count; }
   [[nodiscard]] std::uint64_t committed(ThreadId tid) const;
   /// Raw (reset-independent) count of instructions that entered the fetch
@@ -350,14 +351,6 @@ class Pipeline {
 
   void state_io(persist::Archive& ar);
   void thread_state_io(persist::Archive& ar, ThreadState& ts);
-  /// Folds one value into commit_digest_ (FNV-1a over its 8 bytes, LSB
-  /// first -- the byte order is part of the digest contract).
-  void mix_digest(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      commit_digest_ ^= (v >> (8 * i)) & 0xff;
-      commit_digest_ *= 0x100000001b3ULL;
-    }
-  }
 
   Cycle cycle_ = 0;
   Cycle stats_base_cycle_ = 0;
@@ -366,7 +359,7 @@ class Pipeline {
   /// process -- observes the same commit-free spans as one long run().
   std::uint64_t hang_last_total_ = 0;
   Cycle hang_last_progress_ = 0;
-  std::uint64_t commit_digest_ = 0xcbf29ce484222325ULL;  ///< FNV-1a basis
+  Fnv1a commit_digest_;  ///< (tid, seq, cycle) of every commit, in order
   PipelineStats pstats_;
   PipelineObserver* observer_ = nullptr;       ///< not owned; nullptr = off
   const core::FaultHooks* faults_ = nullptr;   ///< not owned; nullptr = fault-free

@@ -2,7 +2,7 @@
 // function-unit pools, broadcast calendar queue).  Kept out of the headers
 // so the hot-path inline code does not pull in the archive machinery.
 #include "common/archive.hpp"
-#include "core/state_io.hpp"
+#include "isa/instruction_io.hpp"
 #include "smt/broadcast_schedule.hpp"
 #include "smt/fu.hpp"
 #include "smt/lsq.hpp"
@@ -13,7 +13,7 @@ namespace msim::smt {
 namespace {
 
 void io_rob_entry(persist::Archive& ar, RobEntry& e) {
-  core::io_dyn_inst(ar, e.inst);
+  isa::io_dyn_inst(ar, e.inst);
   for (PhysReg& s : e.src_phys) ar.io(s);
   ar.io(e.dest_phys);
   ar.io(e.prev_dest_phys);

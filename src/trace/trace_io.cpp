@@ -1,113 +1,63 @@
 #include "trace/trace_io.hpp"
 
-#include <array>
-#include <cstdio>
 #include <cstring>
-#include <memory>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
+
+#include "common/archive.hpp"
+#include "isa/instruction_io.hpp"
 
 namespace msim::trace {
 namespace {
 
-constexpr char kMagic[8] = {'M', 'S', 'I', 'M', 'T', 'R', 'C', '1'};
-
-/// On-disk record: explicit little-endian packing, independent of the
-/// in-memory DynInst layout.
-struct PackedInst {
-  std::uint64_t seq;
-  std::uint64_t pc;
-  std::uint64_t next_pc;
-  std::uint64_t mem_addr;
-  std::uint8_t op;
-  std::uint8_t dest;
-  std::uint8_t src0;
-  std::uint8_t src1;
-  std::uint8_t taken;
-  std::uint8_t pad[3];
-};
-static_assert(sizeof(PackedInst) == 40);
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+constexpr char kMagic[8] = {'M', 'S', 'I', 'M', 'T', 'R', 'C', '2'};
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + ": '" + path + "'");
-}
-
-PackedInst pack(const isa::DynInst& inst) {
-  PackedInst p{};
-  p.seq = inst.seq;
-  p.pc = inst.pc;
-  p.next_pc = inst.next_pc;
-  p.mem_addr = inst.mem_addr;
-  p.op = static_cast<std::uint8_t>(inst.op);
-  p.dest = inst.dest;
-  p.src0 = inst.src[0];
-  p.src1 = inst.src[1];
-  p.taken = inst.taken ? 1 : 0;
-  return p;
-}
-
-isa::DynInst unpack(const PackedInst& p, const std::string& path) {
-  if (p.op >= isa::kOpClassCount) fail("corrupt trace record (bad op)", path);
-  isa::DynInst inst;
-  inst.seq = p.seq;
-  inst.pc = p.pc;
-  inst.next_pc = p.next_pc;
-  inst.mem_addr = p.mem_addr;
-  inst.op = static_cast<isa::OpClass>(p.op);
-  inst.dest = p.dest;
-  inst.src[0] = p.src0;
-  inst.src[1] = p.src1;
-  inst.taken = p.taken != 0;
-  return inst;
 }
 
 }  // namespace
 
 void write_trace(const std::string& path,
                  std::span<const isa::DynInst> instructions) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) fail("cannot open trace for writing", path);
-  const std::uint64_t count = instructions.size();
-  if (std::fwrite(kMagic, sizeof kMagic, 1, f.get()) != 1 ||
-      std::fwrite(&count, sizeof count, 1, f.get()) != 1) {
-    fail("trace header write failed", path);
-  }
-  for (const isa::DynInst& inst : instructions) {
-    const PackedInst p = pack(inst);
-    if (std::fwrite(&p, sizeof p, 1, f.get()) != 1) {
-      fail("trace record write failed", path);
-    }
-  }
-  if (std::fflush(f.get()) != 0) fail("trace flush failed", path);
+  persist::Archive ar = persist::Archive::saver();
+  std::uint64_t count = instructions.size();
+  ar.io(count);
+  for (isa::DynInst inst : instructions) isa::io_dyn_inst(ar, inst);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) fail("cannot open trace for writing", path);
+  out.write(kMagic, sizeof kMagic);
+  out.write(reinterpret_cast<const char*>(ar.bytes().data()),
+            static_cast<std::streamsize>(ar.bytes().size()));
+  out.flush();
+  if (!out) fail("trace write failed", path);
 }
 
 std::vector<isa::DynInst> read_trace(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) fail("cannot open trace for reading", path);
-  char magic[8];
-  std::uint64_t count = 0;
-  if (std::fread(magic, sizeof magic, 1, f.get()) != 1 ||
-      std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) fail("cannot open trace for reading", path);
+  char magic[sizeof kMagic];
+  if (!in.read(magic, sizeof magic) || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     fail("not an msim trace (bad magic)", path);
   }
-  if (std::fread(&count, sizeof count, 1, f.get()) != 1) {
-    fail("truncated trace header", path);
-  }
+  std::vector<std::uint8_t> body{std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>()};
   std::vector<isa::DynInst> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PackedInst p{};
-    if (std::fread(&p, sizeof p, 1, f.get()) != 1) {
-      fail("truncated trace body", path);
+  try {
+    // Archive bounds the declared count by the bytes present, so a corrupt
+    // count cannot drive the allocation.
+    persist::Archive ar = persist::Archive::loader(std::move(body));
+    ar.io_sequence(out, isa::io_dyn_inst);
+    ar.expect_end();
+  } catch (const persist::PersistError& e) {
+    fail(std::string("corrupt trace (") + e.what() + ")", path);
+  }
+  for (const isa::DynInst& inst : out) {
+    if (static_cast<unsigned>(inst.op) >= isa::kOpClassCount) {
+      fail("corrupt trace record (bad op)", path);
     }
-    out.push_back(unpack(p, path));
   }
   return out;
 }

@@ -2,13 +2,14 @@
 // and load them back, for offline analysis, debugging, and interchange with
 // external tools.
 //
-// Format (little-endian, fixed-size records):
-//   8-byte magic "MSIMTRC1"
-//   u64 instruction count
-//   count records of PackedInst (see below)
+// Format: the 8-byte magic "MSIMTRC2", then a persist::Archive stream
+// (little-endian on every host): the u64 instruction count, then each
+// record's isa::io_dyn_inst fields (isa/instruction_io.hpp, the field list
+// checkpoints use), 37 bytes per instruction.
 //
 // The format is self-contained and versioned by the magic; readers reject
-// anything else.  Traces are analysis artifacts -- the simulator itself
+// anything else, and a count the file cannot hold is an error before any
+// allocation.  Traces are analysis artifacts -- the simulator itself
 // remains generator-driven (wrong-path synthesis needs the static CFG,
 // which a flat trace cannot provide).
 #pragma once
@@ -27,7 +28,7 @@ namespace msim::trace {
 void write_trace(const std::string& path, std::span<const isa::DynInst> instructions);
 
 /// Reads a trace written by write_trace.  Throws std::runtime_error on I/O
-/// failure or format mismatch.
+/// failure, format mismatch or a corrupt record, naming the file.
 [[nodiscard]] std::vector<isa::DynInst> read_trace(const std::string& path);
 
 /// Summary statistics of a recorded trace (the `trace_tool` example prints

@@ -99,13 +99,13 @@ TEST(Lsq, OutOfOrderPopDies) {
   LoadStoreQueue lsq(4);
   lsq.allocate(0, false, 0x0, kNoPhysReg, kNoPhysReg);
   lsq.allocate(1, false, 0x8, kNoPhysReg, kNoPhysReg);
-  EXPECT_DEATH(lsq.pop(1), "MSIM_CHECK");
+  EXPECT_THROW(lsq.pop(1), msim::CheckError);
 }
 
 TEST(Lsq, NonMonotonicAllocateDies) {
   LoadStoreQueue lsq(4);
   lsq.allocate(5, false, 0x0, kNoPhysReg, kNoPhysReg);
-  EXPECT_DEATH(lsq.allocate(3, false, 0x8, kNoPhysReg, kNoPhysReg), "MSIM_CHECK");
+  EXPECT_THROW(lsq.allocate(3, false, 0x8, kNoPhysReg, kNoPhysReg), msim::CheckError);
 }
 
 TEST(Lsq, ClearResetsEntries) {

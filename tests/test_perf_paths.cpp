@@ -529,7 +529,6 @@ TEST(BroadcastSchedule, DrainCallbackMayScheduleAheadButNotSameCycle) {
   EXPECT_EQ(fired, (std::vector<PhysReg>{1, 2}));
   EXPECT_TRUE(ok.empty());
 
-  ScopedCheckThrow guard;
   smt::BroadcastSchedule bad(/*horizon_hint=*/8);
   bad.schedule(5, 1);
   EXPECT_THROW(

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
+
 namespace msim::smt {
 namespace {
 
@@ -150,7 +152,7 @@ TEST(Rename, RewindOutOfOrderDies) {
   const RenameResult a = r.rename(0, alu(4));
   (void)r.rename(0, alu(4));
   // a is no longer the current mapping; rewinding it first is a bug.
-  EXPECT_DEATH(r.rewind_mapping(0, 4, a.dest, a.prev_dest), "MSIM_CHECK");
+  EXPECT_THROW(r.rewind_mapping(0, 4, a.dest, a.prev_dest), msim::CheckError);
 }
 
 }  // namespace

@@ -64,7 +64,6 @@ TEST(Ring, EraseAtKeepsSurvivorsInOrder) {
 }
 
 TEST(Ring, FullAtTheConfiguredCapacityNotTheSlotCount) {
-  ScopedCheckThrow throw_on_check;
   Ring<int> r(5);  // 8 slots underneath
   EXPECT_EQ(r.capacity(), 5u);
   for (int i = 0; i < 5; ++i) {

@@ -98,7 +98,7 @@ TEST(Rob, DoneRequiresIssueAndCompletion) {
 TEST(Rob, NonConsecutiveAllocationDies) {
   ReorderBuffer rob(4);
   rob.allocate(0);
-  EXPECT_DEATH(rob.allocate(2), "MSIM_CHECK");
+  EXPECT_THROW(rob.allocate(2), msim::CheckError);
 }
 
 TEST(Rob, ClearEmptiesWindow) {
@@ -137,7 +137,7 @@ TEST(Rob, TruncateToHeadKeepsOne) {
 TEST(Rob, TruncateToOutsideWindowDies) {
   ReorderBuffer rob(4);
   rob.allocate(0);
-  EXPECT_DEATH(rob.truncate_to(5), "MSIM_CHECK");
+  EXPECT_THROW(rob.truncate_to(5), msim::CheckError);
 }
 
 }  // namespace

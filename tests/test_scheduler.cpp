@@ -438,7 +438,7 @@ TEST(SchedulerBookkeeping, OutOfOrderInsertIsRejected) {
   Scheduler s(config_for(SchedulerKind::kTraditional), 1, 8, 8);
   s.insert(inst(0, 0));
   s.insert(inst(0, 1));
-  EXPECT_DEATH(s.insert(inst(0, 5)), "MSIM_CHECK");
+  EXPECT_THROW(s.insert(inst(0, 5)), msim::CheckError);
 }
 
 TEST(SchedulerBookkeeping, BufferCapacityEnforced) {

@@ -14,7 +14,9 @@
 //   4. run_sweep(isolation=process): byte-identical to the thread backend
 //      at any worker count, chaos-faulted sweeps byte-identical on every
 //      surviving cell, failed cells attributed to the exact injected grid
-//      index, the sweep process as the journal's one writer + resume.
+//      index, the sweep process as the journal's one writer + resume,
+//      and workers that never wait on a baseline another thread of the
+//      forking process is computing.
 //   5. The PR's robustness satellites: SweepJournal torn-tail truncation
 //      and reset_signals_in_forked_child.
 //
@@ -27,6 +29,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -632,6 +635,38 @@ TEST(ProcessSweep, ResumeAfterASupervisorCrashRerunsOnlyTheLostCells) {
   EXPECT_EQ(want_json, sweep_json_of(run_with(resumed)));
   EXPECT_EQ(bus.published(obs::ProgressKind::kCellStart), lines.size() - 11)
       << "only the cells missing from the journal may run again";
+}
+
+TEST(ProcessSweep, WorkersNeverWaitOnABaselineAnotherThreadIsComputing) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan kills a child of a multithreaded fork that starts a "
+                  "thread, and every worker starts a heartbeat thread";
+#endif
+  sim::SweepRequest req;
+  req.thread_count = 2;
+  req.kinds = {core::SchedulerKind::kTraditional};
+  req.iq_sizes = {32};
+  req.base.warmup = 2000;
+  req.base.horizon = 20000;
+  const std::string thread_json = sweep_json_of(run_with(req));
+
+  req.isolation = sim::SweepIsolation::kProcess;
+  req.workers = 2;
+  req.cell_timeout_ms = 3000;
+  obs::ProgressBus bus;
+  req.progress_bus = &bus;
+  sim::BaselineCache baselines(req.base);
+  // Another job sharing the cache (a served thread sweep in the same pool
+  // entry) still has equake's baseline in flight when the workers fork.
+  // That slot's owner does not exist in a worker, so a worker that waited
+  // on it would hang until the cell timeout killed it.
+  std::thread other([&baselines] { (void)baselines.alone_ipc("equake", 32); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto cells = run_sweep(req, baselines);
+  other.join();
+  EXPECT_EQ(bus.published(obs::ProgressKind::kWorkerDeath), 0u);
+  EXPECT_TRUE(sim::sweep_failures(cells).empty());
+  EXPECT_EQ(thread_json, sweep_json_of(cells));
 }
 
 // ---------------------------------------------------------------------------

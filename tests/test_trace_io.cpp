@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +70,17 @@ TEST_F(TraceIoTest, RejectsTruncatedBody) {
   const auto original = sample_trace(100);
   write_trace(path_, original);
   std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 13u);
+  EXPECT_THROW((void)read_trace(path_), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, RejectsACountTheFileCannotHold) {
+  write_trace(path_, sample_trace(10));
+  // The u64 count follows the 8-byte magic, little-endian.
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8);
+  for (int i = 0; i < 8; ++i) f.put(static_cast<char>((huge >> (8 * i)) & 0xff));
+  f.close();
   EXPECT_THROW((void)read_trace(path_), std::runtime_error);
 }
 
