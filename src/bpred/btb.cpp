@@ -71,6 +71,4 @@ void Btb::state_io(persist::Archive& ar) {
   ar.io(stats_.hits);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Btb)
-
 }  // namespace msim::bpred

@@ -42,12 +42,9 @@ class Btb {
   [[nodiscard]] const BtbStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct Entry {
     Addr tag = 0;
     Addr target = 0;

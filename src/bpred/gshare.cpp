@@ -44,6 +44,4 @@ void Gshare::state_io(persist::Archive& ar) {
   ar.io(stats_.correct);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Gshare)
-
 }  // namespace msim::bpred

@@ -43,12 +43,9 @@ class Gshare {
   void reset_stats() noexcept { stats_ = {}; }
   [[nodiscard]] std::uint32_t history() const noexcept { return history_; }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   [[nodiscard]] std::size_t index(Addr pc) const noexcept;
 
   GshareConfig config_;

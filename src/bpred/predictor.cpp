@@ -92,16 +92,12 @@ void BranchPredictor::state_io(persist::Archive& ar) {
   ar.section("bpred");
   // Thread count is construction-time configuration; loading into a
   // predictor of a different shape is a config mismatch, not a resize.
-  for (Gshare& g : gshare_) {
-    if (ar.saving()) g.save_state(ar); else g.load_state(ar);
-  }
-  if (ar.saving()) btb_.save_state(ar); else btb_.load_state(ar);
+  for (Gshare& g : gshare_) g.state_io(ar);
+  btb_.state_io(ar);
   ar.io_sequence(stats_, [](persist::Archive& a, PredictorStats& s) {
     a.io(s.branches);
     a.io(s.mispredicts);
   });
 }
-
-MSIM_PERSIST_VIA_STATE_IO(BranchPredictor)
 
 }  // namespace msim::bpred

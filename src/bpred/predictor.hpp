@@ -83,12 +83,9 @@ class BranchPredictor {
 
   /// Checkpoint support: training state (counters, history, BTB entries,
   /// LRU ticks) and statistics both round-trip.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::vector<Gshare> gshare_;  ///< one per thread (Table 1)
   Btb btb_;                     ///< shared
   std::vector<PredictorStats> stats_;

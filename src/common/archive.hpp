@@ -254,25 +254,5 @@ class Archive {
   bool saving_;
 };
 
-namespace detail {
-inline void require_saving(const Archive& ar) {
-  if (!ar.saving()) throw PersistError("save_state called on a loading archive");
-}
-inline void require_loading(const Archive& ar) {
-  if (ar.saving()) throw PersistError("load_state called on a saving archive");
-}
-}  // namespace detail
-
 }  // namespace msim::persist
 
-/// Defines Type::save_state / Type::load_state as const-correct wrappers
-/// around the bidirectional Type::state_io(persist::Archive&).
-#define MSIM_PERSIST_VIA_STATE_IO(Type)                              \
-  void Type::save_state(::msim::persist::Archive& ar) const {        \
-    ::msim::persist::detail::require_saving(ar);                     \
-    const_cast<Type*>(this)->state_io(ar);                           \
-  }                                                                  \
-  void Type::load_state(::msim::persist::Archive& ar) {              \
-    ::msim::persist::detail::require_loading(ar);                    \
-    state_io(ar);                                                    \
-  }

@@ -198,8 +198,16 @@ class JsonParser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type_ = JsonValue::Type::kString;
@@ -339,8 +347,15 @@ class JsonParser {
     }
   }
 
+  // Each array/object level is a parse_value frame, so the depth is bounded
+  // for documents from outside (request bodies, replayed journal lines):
+  // unbounded, 100,000 '[' overflow a thread's stack.  The deepest document
+  // the program writes, the sweep JSON, nests 6 levels.
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {

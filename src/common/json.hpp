@@ -90,7 +90,7 @@ class JsonValue {
   enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
 
   /// Parses one JSON document; throws std::invalid_argument on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage or arrays/objects nested deeper than 64 levels.
   static JsonValue parse(std::string_view text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }

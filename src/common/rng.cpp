@@ -71,8 +71,6 @@ void Rng::state_io(persist::Archive& ar) {
   for (auto& word : s_) ar.io(word);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Rng)
-
 std::array<double, 8> cumulative_from_weights(std::span<const double> weights) {
   MSIM_CHECK(!weights.empty() && weights.size() <= 8);
   std::array<double, 8> cum{};

@@ -117,15 +117,12 @@ class Rng {
 
   /// Checkpoint support: serializes the four state words verbatim, so a
   /// restored generator continues the exact output sequence.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
+  void state_io(persist::Archive& ar);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }
-
-  void state_io(persist::Archive& ar);
 
   std::array<std::uint64_t, 4> s_{};
   // One-entry memo for next_geometric's log1p(-p): callers draw with a

@@ -123,8 +123,6 @@ void StreamingStat::state_io(persist::Archive& ar) {
   ar.io(max_);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(StreamingStat)
-
 void Histogram::state_io(persist::Archive& ar) {
   ar.section("histogram");
   // Geometry (bucket count, width) is construction-time configuration; it
@@ -141,14 +139,10 @@ void Histogram::state_io(persist::Archive& ar) {
   ar.io(total_);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Histogram)
-
 void RatioStat::state_io(persist::Archive& ar) {
   ar.section("ratio-stat");
   ar.io(events_);
   ar.io(opportunities_);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(RatioStat)
 
 }  // namespace msim

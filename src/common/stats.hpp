@@ -47,12 +47,9 @@ class StreamingStat {
 
   /// Checkpoint support: doubles round-trip as raw IEEE-754 bit patterns,
   /// so a restored accumulator is bit-identical, not merely close.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
@@ -80,12 +77,9 @@ class Histogram {
   /// resolved to a bucket upper edge.
   [[nodiscard]] double approximate_quantile(double q) const noexcept;
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::vector<std::uint64_t> buckets_;
   double width_;
   std::uint64_t total_ = 0;
@@ -109,12 +103,9 @@ class RatioStat {
                           : 0.0;
   }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::uint64_t events_ = 0;
   std::uint64_t opportunities_ = 0;
 };

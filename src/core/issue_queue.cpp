@@ -246,10 +246,7 @@ void io_iq_stats(persist::Archive& ar, IqStats& s) {
   ar.io(s.comparator_ops);
   ar.io(s.occupancy_integral);
   ar.io(s.occupancy_samples);
-  if (ar.saving()) s.residency.save_state(ar);
-  else s.residency.load_state(ar);
+  s.residency.state_io(ar);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(IssueQueue)
 
 }  // namespace msim::core

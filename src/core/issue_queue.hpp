@@ -165,12 +165,9 @@ class IssueQueue {
   /// Checkpoint support: the SoA entry arrays, wakeup lists, ready set,
   /// free lists, generation counters and statistics all round-trip, so a
   /// restored queue replays the exact same wakeup and select behaviour.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   /// A consumer parked on a physical register's wakeup list.  `gen` pins
   /// the slot occupancy the node was created for: if the slot has been
   /// issued, squashed or reused since, the generations differ and the node

@@ -139,7 +139,7 @@ std::uint32_t Scheduler::held_instructions(ThreadId tid) const {
 
 void Scheduler::state_io(persist::Archive& ar) {
   ar.section("scheduler");
-  if (ar.saving()) iq_.save_state(ar); else iq_.load_state(ar);
+  iq_.state_io(ar);
   // Rename buffers serialize their logical contents (program order); the
   // ring's physical head position is unobservable.
   for (Ring<SchedInst>& buf : buffers_) ar.io_ring(buf, "rename buffer", io_sched_inst);
@@ -178,7 +178,5 @@ void io_dispatch_stats(persist::Archive& ar, DispatchStats& s) {
   ar.io(s.fault_iq_denials);
   ar.io(s.fault_dropped_dispatches);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(Scheduler)
 
 }  // namespace msim::core

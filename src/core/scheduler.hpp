@@ -207,12 +207,9 @@ class Scheduler {
   /// guards, watchdog countdown, round-robin origin, statistics and the
   /// issue queue.  Per-dispatch-phase scratch (scan state, ready scratch)
   /// is rebuilt each cycle and not serialized.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct ScanState {
     std::uint32_t pos = 0;        ///< next buffer index to examine
     std::uint32_t examined = 0;

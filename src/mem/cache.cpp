@@ -149,6 +149,4 @@ void io_cache_stats(persist::Archive& ar, CacheStats& s) {
   ar.io(s.dirty_evictions);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Cache)
-
 }  // namespace msim::mem

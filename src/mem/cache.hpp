@@ -117,12 +117,9 @@ class Cache {
 
   /// Checkpoint support: tag/LRU/dirty state, outstanding-miss table, and
   /// statistics all round-trip bit-identically.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct Line {
     Addr tag = 0;
     Cycle last_used = 0;

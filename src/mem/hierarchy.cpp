@@ -57,12 +57,8 @@ void MemoryHierarchy::register_stats(obs::StatRegistry& registry,
 
 void MemoryHierarchy::state_io(persist::Archive& ar) {
   ar.section("mem-hierarchy");
-  for (Cache* c : {&l1i_, &l1d_, &l2_}) {
-    if (ar.saving()) c->save_state(ar); else c->load_state(ar);
-  }
+  for (Cache* c : {&l1i_, &l1d_, &l2_}) c->state_io(ar);
   ar.io(memory_accesses_);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(MemoryHierarchy)
 
 }  // namespace msim::mem

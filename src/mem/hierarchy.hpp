@@ -83,12 +83,9 @@ class MemoryHierarchy {
   [[nodiscard]] const Cache& l1i() const noexcept { return l1i_; }
   [[nodiscard]] const Cache& l2() const noexcept { return l2_; }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::uint32_t access_through(Cache& l1, Addr addr, bool is_store, Cycle now);
 
   HierarchyConfig config_;

@@ -268,8 +268,6 @@ void IntervalEngine::state_io(persist::Archive& ar) {
   ar.io(captured_total_);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(IntervalEngine)
-
 // ---- JSONL formatting (msim.intervals.v1) -----------------------------------
 
 std::string format_interval_header(const IntervalConfig& config,

@@ -200,12 +200,9 @@ class IntervalEngine {
 
   /// Checkpoint support: ring, phase tables, baseline sample and stream
   /// cursor all round-trip (the sink does not).
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct PhaseState {
     std::vector<std::uint64_t> table;  ///< fingerprint -> first-seen index
     std::uint64_t last_fingerprint = 0;

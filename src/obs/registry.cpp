@@ -207,18 +207,8 @@ void StatRegistry::sampled_io(persist::Archive& ar) {
                                   "' does not match stream entry '" + name +
                                   "' (metric renamed or reordered)");
     }
-    if (ar.saving()) m.owned->save_state(ar); else m.owned->load_state(ar);
+    m.owned->state_io(ar);
   }
-}
-
-void StatRegistry::save_sampled(persist::Archive& ar) const {
-  persist::detail::require_saving(ar);
-  const_cast<StatRegistry*>(this)->sampled_io(ar);
-}
-
-void StatRegistry::load_sampled(persist::Archive& ar) {
-  persist::detail::require_loading(ar);
-  sampled_io(ar);
 }
 
 }  // namespace msim::obs

@@ -93,12 +93,9 @@ class StatRegistry {
   /// callback-backed metrics persist with their owning components).  Gauges
   /// are streamed tagged by name in registration order; a load verifies
   /// both, so metric renames or reorderings fail loudly.
-  void save_sampled(persist::Archive& ar) const;
-  void load_sampled(persist::Archive& ar);
-
- private:
   void sampled_io(persist::Archive& ar);
 
+ private:
   struct Metric {
     std::string name;
     MetricKind kind;

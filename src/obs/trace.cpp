@@ -251,6 +251,4 @@ void InstTracer::state_io(persist::Archive& ar) {
   ar.io(dropped_);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(InstTracer)
-
 }  // namespace msim::obs

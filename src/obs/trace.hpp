@@ -99,12 +99,9 @@ class InstTracer {
   /// The retained window in recording order (oldest first).
   [[nodiscard]] std::vector<TraceEvent> events() const;
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::vector<TraceEvent> ring_;
   std::size_t head_ = 0;
   std::size_t live_ = 0;

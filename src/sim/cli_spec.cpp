@@ -6,8 +6,9 @@ namespace {
 
 // Printed by --help; one line per knob, mirroring the canonical knob table
 // in EXPERIMENTS.md ("Harness knobs and exit codes") -- keep the two in
-// sync.  tests/test_cli_help cross-checks every known key against this
-// text, so a knob added to one list but not the other fails fast.
+// sync.  tests/test_intervals.cpp (CliSpec) cross-checks every known key
+// against this text, and tests/test_serve_wire.cpp the serve keys against
+// the CLI keys, so a knob added to one list but not the other fails fast.
 constexpr const char* kUsage = R"(usage: msim_cli [key=value | --flag value]...
 
 Runs one simulator configuration (or a figure sweep) and prints a full

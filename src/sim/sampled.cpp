@@ -35,6 +35,14 @@ std::vector<std::uint8_t> snapshot(const smt::Pipeline& pipe) {
   return ar.bytes();
 }
 
+/// Loads a snapshot() payload into a pipeline freshly constructed with the
+/// configuration, workload and seed it was taken from.
+void restore(smt::Pipeline& pipe, const std::vector<std::uint8_t>& snap) {
+  persist::Archive ar = persist::Archive::loader(snap);
+  pipe.load_state(ar);
+  ar.expect_end();
+}
+
 /// Measurements harvested from one detailed region replay.
 struct RegionMeasure {
   std::uint64_t cycles = 0;
@@ -66,11 +74,7 @@ RegionMeasure measure_region(const RunConfig& base, smt::MachineConfig mc,
   robust::InvariantChecker checker;
   if (base.verify) pipe.set_observer(&checker);
 
-  {
-    persist::Archive ar = persist::Archive::loader(checkpoint);
-    pipe.load_state(ar);
-    ar.expect_end();
-  }
+  restore(pipe, checkpoint);
   const std::uint64_t restored = pipe.total_committed();
 
   const auto abort_with = [&](const std::string& what) -> RegionMeasure {
@@ -289,11 +293,7 @@ SampledResult run_sampled(const RunConfig& base, const SampledConfig& sampled) {
         // just taken.  A quarter-pilot lead-in drains the cold (empty)
         // pipeline before rates are measured, as in the initial pilot.
         smt::Pipeline probe(mc, profiles, base.seed);
-        {
-          persist::Archive ar = persist::Archive::loader(checkpoints[ev.region]);
-          probe.load_state(ar);
-          ar.expect_end();
-        }
+        restore(probe, checkpoints[ev.region]);
         const std::uint64_t shed = ev.at + sampled.pilot / 4 + 1;
         probe.run(shed);
         pace_base = paced(ev.at);

@@ -124,12 +124,9 @@ class BroadcastSchedule {
   /// placement was decided against base_ at schedule() time, so re-deriving
   /// it against the restored base_ could move tags between homes and change
   /// cancel() behaviour.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::vector<std::vector<PhysReg>> ring_;  ///< bucket per cycle mod ring size
   std::map<Cycle, std::vector<PhysReg>> spill_;
   std::uint32_t mask_ = 0;

@@ -53,12 +53,9 @@ class FuPools {
   [[nodiscard]] const FuStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = FuStats{}; }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   std::array<std::vector<Cycle>, isa::kFuKindCount> pools_;
   FuStats stats_;
 };

@@ -102,12 +102,9 @@ class LoadStoreQueue {
   [[nodiscard]] const LsqStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct Entry {
     SeqNum seq;
     Addr addr;

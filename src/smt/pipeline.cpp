@@ -914,7 +914,7 @@ void Pipeline::trace_squash(ThreadId tid, SeqNum min_seq, Cycle now) {
 
 void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
   ar.section("thread");
-  if (ar.saving()) ts.gen.save_state(ar); else ts.gen.load_state(ar);
+  ts.gen.state_io(ar);
   ar.io_sequence(ts.replay, isa::io_dyn_inst);
   ar.io_optional(ts.pending, isa::io_dyn_inst);
   ar.io_ring(ts.fetch_queue, "fetch queue", [](persist::Archive& a, FetchedInst& f) {
@@ -923,8 +923,8 @@ void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
     a.io(f.mispredicted);
     a.io(f.wrong_path);
   });
-  if (ar.saving()) ts.rob.save_state(ar); else ts.rob.load_state(ar);
-  if (ar.saving()) ts.lsq.save_state(ar); else ts.lsq.load_state(ar);
+  ts.rob.state_io(ar);
+  ts.lsq.state_io(ar);
   ar.io(ts.fetch_stalled_until);
   ar.io(ts.l2_stall_until);
   ar.io(ts.awaiting_branch);
@@ -934,7 +934,7 @@ void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
   ar.io(ts.wp_branch_seq);
   ar.io(ts.wp_next_seq);
   ar.io(ts.wp_squash_at);
-  if (ar.saving()) ts.wp_rng.save_state(ar); else ts.wp_rng.load_state(ar);
+  ts.wp_rng.state_io(ar);
   ar.io(ts.awaited_branch_seq);
   ar.io(ts.last_fetch_line);
   ar.io(ts.committed);
@@ -957,12 +957,12 @@ void Pipeline::state_io(persist::Archive& ar) {
   ar.io(commit_digest_.h);
   io_pipeline_stats(ar, pstats_);
   for (const auto& ts : threads_) thread_state_io(ar, *ts);
-  if (ar.saving()) rename_.save_state(ar); else rename_.load_state(ar);
-  if (ar.saving()) scheduler_->save_state(ar); else scheduler_->load_state(ar);
-  if (ar.saving()) fu_.save_state(ar); else fu_.load_state(ar);
-  if (ar.saving()) mem_.save_state(ar); else mem_.load_state(ar);
-  if (ar.saving()) bpred_.save_state(ar); else bpred_.load_state(ar);
-  if (ar.saving()) broadcasts_.save_state(ar); else broadcasts_.load_state(ar);
+  rename_.state_io(ar);
+  scheduler_->state_io(ar);
+  fu_.state_io(ar);
+  mem_.state_io(ar);
+  bpred_.state_io(ar);
+  broadcasts_.state_io(ar);
   for (std::optional<SeqNum>& f : pending_policy_flush_) {
     ar.io_optional(f, [](persist::Archive& a, SeqNum& seq) { a.io(seq); });
   }
@@ -973,12 +973,21 @@ void Pipeline::state_io(persist::Archive& ar) {
     a.io(s.lsq_full_cycles);
     a.io(s.fetch_starved_cycles);
   });
-  if (ar.saving()) tracer_.save_state(ar); else tracer_.load_state(ar);
-  if (ar.saving()) registry_.save_sampled(ar); else registry_.load_sampled(ar);
-  if (ar.saving()) interval_.save_state(ar); else interval_.load_state(ar);
+  tracer_.state_io(ar);
+  registry_.sampled_io(ar);
+  interval_.state_io(ar);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(Pipeline)
+void Pipeline::save_state(persist::Archive& ar) const {
+  // state_io only reads the machine when `ar` is saving.
+  MSIM_CHECK(ar.saving());
+  const_cast<Pipeline*>(this)->state_io(ar);
+}
+
+void Pipeline::load_state(persist::Archive& ar) {
+  MSIM_CHECK(!ar.saving());
+  state_io(ar);
+}
 
 void io_pipeline_stats(persist::Archive& ar, PipelineStats& s) {
   ar.io(s.issued);

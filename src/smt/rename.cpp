@@ -117,6 +117,4 @@ void RenameUnit::state_io(persist::Archive& ar) {
   ar.io(ready_);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(RenameUnit)
-
 }  // namespace msim::smt

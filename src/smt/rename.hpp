@@ -68,12 +68,9 @@ class RenameUnit {
 
   /// Checkpoint support: map tables, free lists (order matters -- they are
   /// LIFO) and ready bits all round-trip.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   [[nodiscard]] std::vector<PhysReg>& free_list_for(ArchReg arch);
 
   unsigned thread_count_;

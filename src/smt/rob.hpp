@@ -113,12 +113,9 @@ class ReorderBuffer {
 
   /// Checkpoint support (defined in smt/state.cpp): live entries are
   /// serialized oldest-first and restored into their seq-derived slots.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   [[nodiscard]] std::size_t slot_of(SeqNum seq) const noexcept {
     return static_cast<std::size_t>(seq & mask_);
   }

@@ -49,8 +49,6 @@ void ReorderBuffer::state_io(persist::Archive& ar) {
   }
 }
 
-MSIM_PERSIST_VIA_STATE_IO(ReorderBuffer)
-
 void LoadStoreQueue::state_io(persist::Archive& ar) {
   ar.section("lsq");
   ar.io_ring(entries_, "LSQ", [](persist::Archive& a, Entry& e) {
@@ -72,8 +70,6 @@ void LoadStoreQueue::state_io(persist::Archive& ar) {
   ar.io(stats_.blocked_checks);
 }
 
-MSIM_PERSIST_VIA_STATE_IO(LoadStoreQueue)
-
 void FuPools::state_io(persist::Archive& ar) {
   ar.section("fu-pools");
   for (std::vector<Cycle>& pool : pools_) {
@@ -89,8 +85,6 @@ void FuPools::state_io(persist::Archive& ar) {
   for (std::uint64_t& n : stats_.issues) ar.io(n);
   for (std::uint64_t& n : stats_.structural_rejects) ar.io(n);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(FuPools)
 
 void BroadcastSchedule::state_io(persist::Archive& ar) {
   ar.section("broadcast-schedule");
@@ -111,7 +105,5 @@ void BroadcastSchedule::state_io(persist::Archive& ar) {
   ar.io(drain_cycle_);
   ar.io(draining_);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(BroadcastSchedule)
 
 }  // namespace msim::smt

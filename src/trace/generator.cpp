@@ -395,7 +395,7 @@ isa::DynInst TraceGenerator::next() {
 
 void TraceGenerator::state_io(persist::Archive& ar) {
   ar.section("trace-generator");
-  if (ar.saving()) rng_.save_state(ar); else rng_.load_state(ar);
+  rng_.state_io(ar);
   // Static CFG shape is reconstructed from (profile, seed); only the
   // per-block walk counters are dynamic.
   std::uint64_t block_count = blocks_.size();
@@ -420,7 +420,5 @@ void TraceGenerator::state_io(persist::Archive& ar) {
   next_stream_ = static_cast<std::size_t>(next_stream);
   ar.io(warm_base_);
 }
-
-MSIM_PERSIST_VIA_STATE_IO(TraceGenerator)
 
 }  // namespace msim::trace

@@ -76,12 +76,9 @@ class TraceGenerator {
   /// cursor, per-block trip counters, dependence rings, stream cursors) is
   /// serialized, and it is loaded over a freshly constructed generator with
   /// the same profile and seed.
-  void save_state(persist::Archive& ar) const;
-  void load_state(persist::Archive& ar);
-
- private:
   void state_io(persist::Archive& ar);
 
+ private:
   struct Block {
     Addr start_pc = 0;          ///< address of the first instruction
     std::uint32_t length = 1;   ///< instructions, including the final branch

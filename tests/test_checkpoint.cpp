@@ -409,7 +409,7 @@ TEST(CheckpointLoad, CorruptRoundRobinOriginIsRefused) {
                         /*issue_width=*/8);
   for (Cycle now = 0; now < 777; ++now) (void)sched.run_dispatch(now, NothingReady{});
   persist::Archive save = persist::Archive::saver();
-  sched.save_state(save);
+  sched.state_io(save);
   std::vector<std::uint8_t> bytes = save.bytes();
 
   std::vector<std::uint8_t> fields;
@@ -423,7 +423,7 @@ TEST(CheckpointLoad, CorruptRoundRobinOriginIsRefused) {
   core::Scheduler target(cfg, 3, 8, 8);
   persist::Archive load = persist::Archive::loader(bytes);
   try {
-    target.load_state(load);
+    target.state_io(load);
     FAIL() << "a round-robin origin of 3 loaded into a 3-thread scheduler";
   } catch (const persist::PersistError& e) {
     EXPECT_NE(std::string(e.what()).find("round-robin origin"), std::string::npos)

@@ -272,12 +272,12 @@ TEST(IntervalEngine, StateRoundTripsThroughArchive) {
   }
 
   persist::Archive save = persist::Archive::saver();
-  engine.save_state(save);
+  engine.state_io(save);
 
   obs::IntervalEngine restored;
   restored.configure({100, 4}, 2);
   persist::Archive load = persist::Archive::loader(save.bytes());
-  restored.load_state(load);
+  restored.state_io(load);
   load.expect_end();
 
   EXPECT_EQ(formatted_ring(restored), formatted_ring(engine));
@@ -296,7 +296,7 @@ TEST(IntervalEngine, StateRoundTripsThroughArchive) {
   obs::IntervalEngine wrong;
   wrong.configure({200, 4}, 2);
   persist::Archive reload = persist::Archive::loader(save.bytes());
-  EXPECT_THROW(wrong.load_state(reload), persist::PersistError);
+  EXPECT_THROW(wrong.state_io(reload), persist::PersistError);
 }
 
 // ---- 5. the streaming writer ----------------------------------------------

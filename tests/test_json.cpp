@@ -97,6 +97,9 @@ TEST(JsonValue, RejectsMalformedInput) {
   EXPECT_THROW((void)JsonValue::parse("nul"), std::invalid_argument);
   EXPECT_THROW((void)JsonValue::parse("{} junk"), std::invalid_argument);
   EXPECT_THROW((void)JsonValue::parse("\"unterminated"), std::invalid_argument);
+  // Nesting is bounded before the recursion can exhaust the stack.
+  EXPECT_THROW((void)JsonValue::parse(std::string(1'000'000, '[')),
+               std::invalid_argument);
 }
 
 TEST(JsonValue, TypeMismatchThrows) {

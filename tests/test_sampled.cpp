@@ -206,23 +206,26 @@ TEST(SampledGolden, RegionSelectionsPinnedAcrossSeeds) {
 // checkpoint inherits matches the detailed run's (see the equivalence
 // contract in smt/functional.cpp).
 
-std::vector<std::uint8_t> gshare_bytes(const smt::Pipeline& pipe, ThreadId t) {
+// Saves a copy: a component's one serializer, state_io, is not const.
+template <typename T>
+std::vector<std::uint8_t> state_bytes(const T& component) {
+  T copy = component;
   persist::Archive ar = persist::Archive::saver();
-  pipe.predictor().gshare(t).save_state(ar);
+  copy.state_io(ar);
   return ar.bytes();
 }
 
+std::vector<std::uint8_t> gshare_bytes(const smt::Pipeline& pipe, ThreadId t) {
+  return state_bytes(pipe.predictor().gshare(t));
+}
+
 std::vector<std::uint8_t> btb_bytes(const smt::Pipeline& pipe) {
-  persist::Archive ar = persist::Archive::saver();
-  pipe.predictor().btb().save_state(ar);
-  return ar.bytes();
+  return state_bytes(pipe.predictor().btb());
 }
 
 std::vector<std::uint8_t> generator_bytes(const smt::Pipeline& pipe,
                                           ThreadId t) {
-  persist::Archive ar = persist::Archive::saver();
-  pipe.generator(t).save_state(ar);
-  return ar.bytes();
+  return state_bytes(pipe.generator(t));
 }
 
 smt::MachineConfig machine_for(std::initializer_list<const char*> names) {

@@ -248,6 +248,12 @@ TEST(Serve, BadSubmissionsGetActionable400s) {
   r = post("[1,2]");
   EXPECT_EQ(r.status, 400);
 
+  // Deep nesting is refused by the parser, not by the session's stack; the
+  // requests below show the daemon survived it.
+  r = post(std::string(100'000, '['));
+  EXPECT_EQ(r.status, 400);
+  EXPECT_NE(r.body.find("not valid JSON"), std::string::npos);
+
   r = post(R"({"priority":1})");
   EXPECT_EQ(r.status, 400);
   EXPECT_NE(r.body.find("config"), std::string::npos);
