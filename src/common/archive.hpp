@@ -21,6 +21,7 @@
 #include <cstring>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -28,6 +29,8 @@
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "common/small_vector.hpp"
 
 namespace msim::persist {
 
@@ -154,6 +157,30 @@ class Archive {
       seq.resize(checked_count(n, 1));
     }
     for (auto& e : seq) per(*this, e);
+  }
+
+  /// SmallVec, in the bytes io_sequence writes for a vector.  The loaded
+  /// count is bounded by the bytes remaining before any storage grows.
+  template <typename T, std::uint32_t N, typename Fn>
+  void io_sequence(SmallVec<T, N>& v, Fn&& per) {
+    std::uint64_t n = v.size();
+    io(n);
+    if (saving_) {
+      for (T& e : v) per(*this, e);
+      return;
+    }
+    const std::size_t count = checked_count(n, 1);
+    if (count > std::numeric_limits<std::uint32_t>::max()) {
+      throw PersistError("checkpoint: declared element count " +
+                         std::to_string(n) + " exceeds a small vector's range");
+    }
+    v.clear();
+    v.reserve(static_cast<std::uint32_t>(count));
+    for (std::size_t i = 0; i < count; ++i) {
+      T e{};
+      per(*this, e);
+      v.push_back(e);
+    }
   }
 
   /// Fixed-capacity ring (common/ring.hpp), in the bytes io_sequence writes

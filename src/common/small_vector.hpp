@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 namespace msim {
@@ -60,17 +63,25 @@ class SmallVec {
 
   // Not noexcept: growth allocates and may throw std::bad_alloc.
   void push_back(const T& value) {
-    if (size_ == capacity_) reserve(capacity_ * 2);
+    if (size_ == capacity_) reserve(size_ + 1);
     data()[size_++] = value;
   }
   void pop_back() noexcept { --size_; }
   /// Drops the elements but keeps the storage (inline or heap) for reuse.
   void clear() noexcept { size_ = 0; }
 
+  /// Grows the capacity by doubling until it holds `wanted` elements;
+  /// throws std::length_error when doubling would overflow first.
   void reserve(std::uint32_t wanted) {
     if (wanted <= capacity_) return;
     std::uint32_t cap = capacity_;
-    while (cap < wanted) cap *= 2;
+    while (cap < wanted) {
+      if (cap > std::numeric_limits<std::uint32_t>::max() / 2) {
+        throw std::length_error("SmallVec: capacity " + std::to_string(wanted) +
+                                " is out of reach");
+      }
+      cap *= 2;
+    }
     T* grown = new T[cap];
     std::memcpy(grown, data(), size_ * sizeof(T));
     release_heap();

@@ -210,23 +210,10 @@ void IssueQueue::state_io(persist::Archive& ar) {
   ar.io(dispatched_at_);
   ar.io(age_stamp_);
   ar.io_sequence(waiters_, [](persist::Archive& a, SmallVec<WaitNode, 4>& w) {
-    std::uint64_t n = w.size();
-    a.io(n);
-    if (a.saving()) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        a.io(w[static_cast<std::size_t>(i)].slot);
-        a.io(w[static_cast<std::size_t>(i)].gen);
-      }
-    } else {
-      w.clear();
-      w.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        WaitNode node{};
-        a.io(node.slot);
-        a.io(node.gen);
-        w.push_back(node);
-      }
-    }
+    a.io_sequence(w, [](persist::Archive& b, WaitNode& node) {
+      b.io(node.slot);
+      b.io(node.gen);
+    });
   });
   ar.io_sequence(ready_set_, [](persist::Archive& a, ReadyNode& r) {
     a.io(r.age_stamp);

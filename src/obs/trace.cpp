@@ -136,7 +136,12 @@ void write_konata(std::ostream& os, std::span<const TraceEvent> events) {
     cmds.push_back({first, 0,
                     "I\t" + std::to_string(id) + "\t" + std::to_string(lc.seq) +
                         "\t" + std::to_string(lc.tid)});
-    std::string label = "T" + std::to_string(lc.tid) + " #" + std::to_string(lc.seq);
+    // Appended piecewise: GCC 12 flags `"T" + std::to_string(...)` with a
+    // false-positive -Wrestrict.
+    std::string label = "T";
+    label += std::to_string(lc.tid);
+    label += " #";
+    label += std::to_string(lc.seq);
     if (lc.dab_rescued) label += " [DAB]";
     if (lc.ooo_bypass) label += " [OOO]";
     if (lc.wrong_path) label += " [WP]";

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -71,7 +72,7 @@ void close_inherited_fds(int keep) {
 struct WorkerArgs {
   unsigned incarnation = 0;
   int pipe_fd = -1;
-  std::vector<std::size_t> cells;  // remaining shard, grid order
+  std::vector<std::size_t> cells;  // remaining shard, in run order
 };
 
 /// The worker process body.  Never returns: _exit() always, so a worker
@@ -182,11 +183,20 @@ SupervisorReport SweepSupervisor::run(const CellFn& cell_fn) {
     return config_.cell_label ? config_.cell_label(cell) : std::to_string(cell);
   };
 
-  // Remaining shard of `slot`, in grid order: owned, not done, not exhausted.
+  std::vector<std::size_t> order = config_.order;
+  if (order.empty()) {
+    order.resize(config_.total_cells);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+  }
+  MSIM_CHECK(order.size() == config_.total_cells);
+
+  // Remaining shard of `slot`, in run order: owned, not done, not exhausted.
   auto remaining = [&](unsigned slot) {
     std::vector<std::size_t> cells;
-    for (std::size_t i = slot; i < config_.total_cells; i += workers) {
-      if (done.count(i) == 0 && exhausted.count(i) == 0) cells.push_back(i);
+    for (const std::size_t i : order) {
+      if (i % workers == slot && done.count(i) == 0 && exhausted.count(i) == 0) {
+        cells.push_back(i);
+      }
     }
     return cells;
   };

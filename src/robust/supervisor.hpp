@@ -3,15 +3,16 @@
 // SweepSupervisor runs a sweep grid across forked worker processes so that a
 // crashing or hanging cell (simulator bug, OOM kill, injected chaos fault)
 // takes down one worker instead of the whole sweep.  Each worker owns a
-// deterministic shard of the grid (cell i -> slot i % workers, in grid
-// order) and reports over a pipe (worker_protocol.hpp); the supervisor
-// watches heartbeats and per-cell wall-clock budgets, SIGKILLs workers that
-// hang, reaps workers that die, and respawns them after a deterministic
-// exponential backoff (backoff.hpp).  A cell whose worker dies too many
-// times is marked exhausted and surfaces as a SupervisorFailure with a
-// diagnostic bundle; every other cell's result is byte-identical to a
-// fault-free run at any worker count, because cells never share mutable
-// state and the shard assignment depends only on the grid.
+// deterministic shard of the grid (cell i -> slot i % workers, run in the
+// caller's execution order) and reports over a pipe (worker_protocol.hpp);
+// the supervisor watches heartbeats and per-cell wall-clock budgets,
+// SIGKILLs workers that hang, reaps workers that die, and respawns them
+// after a deterministic exponential backoff (backoff.hpp).  A cell whose
+// worker dies too many times is marked exhausted and surfaces as a
+// SupervisorFailure with a diagnostic bundle; every other cell's result is
+// byte-identical to a fault-free run at any worker count, because cells
+// never share mutable state and the shard assignment depends only on the
+// grid.
 //
 // Workers write nothing to disk.  Every finished cell reaches the
 // supervisor as a frame and goes to CellListener::finished on the thread
@@ -91,6 +92,9 @@ struct SupervisorConfig {
   /// Cells already completed before this run (journal resume): never
   /// assigned to a worker.
   std::vector<std::size_t> completed;
+  /// The order each worker runs its shard in: every grid index once
+  /// (empty = grid order).  Which worker owns a cell does not depend on it.
+  std::vector<std::size_t> order;
   /// Poll persist::signal_pending() and convert SIGINT/SIGTERM into
   /// kill-all-workers + persist::Interrupted.
   bool watch_signals = false;

@@ -5,6 +5,7 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,7 @@
 #include "persist/journal.hpp"
 #include "persist/signal.hpp"
 #include "robust/supervisor.hpp"
+#include "trace/shared_stream.hpp"
 
 namespace msim::sim {
 
@@ -117,7 +119,7 @@ std::vector<BaselineEntry> BaselineCache::snapshot() const {
 
 MixResult run_mix(const trace::WorkloadMix& mix, core::SchedulerKind kind,
                   std::uint32_t iq_entries, const RunConfig& base,
-                  BaselineCache& baselines) {
+                  BaselineCache& baselines, trace::StreamSet* streams) {
   RunConfig cfg = base;
   cfg.benchmarks.clear();
   for (const std::string_view bench : mix.threads()) {
@@ -133,7 +135,10 @@ MixResult run_mix(const trace::WorkloadMix& mix, core::SchedulerKind kind,
 
   MixResult out;
   out.mix_name = mix.name;
-  out.raw = run_simulation(cfg);
+  out.raw = run_simulation(cfg, streams);
+  // No sweep output reads a cell's registry snapshot; dropping it keeps
+  // journal records and worker frames small.
+  out.raw.metrics = std::vector<obs::MetricSnapshot>{};
   out.throughput_ipc = out.raw.throughput_ipc;
 
   std::vector<double> alone;
@@ -151,7 +156,9 @@ namespace {
 //
 // A journaled cell must replay byte-identically into the sweep JSON and the
 // aggregates, so the codec covers the complete MixResult — every RunResult
-// field, not just the ones today's reports read.
+// field, not just the ones today's reports read.  A sweep cell's `metrics`
+// is always empty (run_mix drops the registry snapshot), so new records
+// hold an empty sequence there; older records that carry one still decode.
 
 void io_run_result(persist::Archive& ar, RunResult& r) {
   ar.section("run_result");
@@ -283,15 +290,28 @@ struct GridPoint {
 /// cell through run_cell() (the one retry loop) and hands the result to
 /// finish(), the one place that journals, reports progress and stores it.
 /// The journal therefore has one writer, this process, and one replay path.
+///
+/// The grid is kind-major, so cell i belongs to the (mix, IQ) group
+/// i % group_count, and every kind of a group runs the same streams.  A
+/// group's cells run back to back on one thread: a group is one task inline
+/// and on the pool (see run_pool for the exception), and a forked worker
+/// runs its shard a group at a time.  If shares_streams(request), those of
+/// a group's cells that run together replay one trace::StreamSet, dropped
+/// when they are done; any other cell generates its own streams.  Only the
+/// order changes: grid order stays the order of results, journal keys and
+/// cell indices.
 class SweepExecution {
  public:
   SweepExecution(const SweepRequest& request, BaselineCache& baselines,
-                 std::vector<GridPoint> grid)
+                 std::vector<GridPoint> grid, std::size_t group_count)
       : request_(request),
         baselines_(baselines),
         grid_(std::move(grid)),
         bus_(request.progress_bus),
+        group_count_(group_count),
+        share_streams_(shares_streams(request)),
         results_(grid_.size()) {
+    MSIM_CHECK(group_count > 0 && grid_.size() % group_count == 0);
     if (!request_.journal_path.empty()) {
       journal_.emplace(request_.journal_path, sweep_fingerprint(request_),
                        request_.resume);
@@ -312,15 +332,12 @@ class SweepExecution {
       bus_->publish(ev);
     }
 
-    std::vector<std::size_t> todo;
     std::vector<std::size_t> replayed;
+    std::vector<bool> done(grid_.size(), false);
     for (std::size_t i = 0; i < grid_.size(); ++i) {
       const std::vector<std::uint8_t>* payload =
           journal_ ? journal_->find(key_of(i)) : nullptr;
-      if (payload == nullptr) {
-        todo.push_back(i);
-        continue;
-      }
+      if (payload == nullptr) continue;
       MixResult m = decode_mix_result(*payload);
       if (m.mix_name != grid_[i].mix->name) {
         throw persist::PersistError(
@@ -328,6 +345,7 @@ class SweepExecution {
             "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
       }
       replayed.push_back(i);
+      done[i] = true;
       finish(i, std::move(m), "journal replay");
     }
     if (!replayed.empty() && request_.progress) {
@@ -337,10 +355,18 @@ class SweepExecution {
 
     if (request_.isolation == SweepIsolation::kProcess) {
       run_forked(std::move(replayed), std::move(chaos));
-    } else if (request_.jobs == 1) {
-      for (const std::size_t i : todo) run_here(i);
     } else {
-      run_pool(todo);
+      // Each group's cells still to run, kinds in grid order.
+      std::vector<std::vector<std::size_t>> groups(group_count_);
+      for (std::size_t i = 0; i < grid_.size(); ++i) {
+        if (!done[i]) groups[i % group_count_].push_back(i);
+      }
+      std::erase_if(groups, [](const std::vector<std::size_t>& g) { return g.empty(); });
+      if (request_.jobs == 1) {
+        for (const std::vector<std::size_t>& cells : groups) run_group(cells);
+      } else {
+        run_pool(groups);
+      }
     }
 
     if (bus_) {
@@ -370,19 +396,22 @@ class SweepExecution {
     return m;
   }
 
-  /// Runs cell `i` on `base`, scoring against `baselines` and retrying
-  /// failures under crash isolation.  Forked workers pass
-  /// report_retries=false: the progress bus belongs to the parent process.
+  /// Runs cell `i` on `base`, replaying `streams` (nullptr: generating),
+  /// scoring against `baselines` and retrying failures under crash
+  /// isolation; each attempt replays the streams from their start.  Forked
+  /// workers pass report_retries=false: the progress bus belongs to the
+  /// parent process.
   [[nodiscard]] MixResult run_cell(std::size_t i, const RunConfig& base,
-                                   BaselineCache& baselines, bool report_retries) const {
+                                   BaselineCache& baselines, bool report_retries,
+                                   trace::StreamSet* streams) const {
     const GridPoint& p = grid_[i];
     if (!request_.isolate_failures) {
-      return run_mix(*p.mix, p.kind, p.iq, base, baselines);
+      return run_mix(*p.mix, p.kind, p.iq, base, baselines, streams);
     }
     std::string last_error;
     for (unsigned attempt = 1; attempt <= request_.retries + 1; ++attempt) {
       try {
-        MixResult r = run_mix(*p.mix, p.kind, p.iq, base, baselines);
+        MixResult r = run_mix(*p.mix, p.kind, p.iq, base, baselines, streams);
         r.attempts = attempt;
         return r;
       } catch (const persist::Interrupted&) {
@@ -403,22 +432,40 @@ class SweepExecution {
     return failed_cell(i, std::move(last_error), request_.retries + 1);
   }
 
-  /// Inline and pool backends: the cell runs in this process.
-  void run_here(std::size_t i) {
-    started(i);
-    std::optional<obs::ScopeTimer> timer;
-    if (request_.timers) timer.emplace(*request_.timers, "cell:" + key_of(i));
-    MixResult r = run_cell(i, request_.base, baselines_, /*report_retries=*/true);
-    timer.reset();
-    finish(i, std::move(r), "");
+  /// Inline and pool backends: one group's cells run in this process, in
+  /// order, over one stream set if more than one of them reads it.
+  void run_group(std::span<const std::size_t> cells) {
+    trace::StreamSet streams;
+    const bool share = share_streams_ && cells.size() > 1;
+    for (const std::size_t i : cells) {
+      started(i);
+      std::optional<obs::ScopeTimer> timer;
+      if (request_.timers) timer.emplace(*request_.timers, "cell:" + key_of(i));
+      MixResult r = run_cell(i, request_.base, baselines_, /*report_retries=*/true,
+                             share ? &streams : nullptr);
+      timer.reset();
+      finish(i, std::move(r), "");
+    }
   }
 
-  void run_pool(const std::vector<std::size_t>& todo) {
+  /// Each group is one task, except the last jobs - 1: their cells are
+  /// tasks of their own (so they generate their streams), so that the
+  /// pool's tail evens out at one cell and a grid of fewer groups than jobs
+  /// still runs `jobs` cells at once.
+  void run_pool(const std::vector<std::vector<std::size_t>>& groups) {
     ThreadPool pool(request_.jobs);
+    const std::size_t whole = groups.size() - std::min<std::size_t>(groups.size(),
+                                                                    request_.jobs - 1);
     std::vector<std::future<void>> pending;
-    pending.reserve(todo.size());
-    for (const std::size_t i : todo) {
-      pending.push_back(pool.submit([this, i] { run_here(i); }));
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::span<const std::size_t> cells = groups[g];
+      if (g < whole) {
+        pending.push_back(pool.submit([this, cells] { run_group(cells); }));
+        continue;
+      }
+      for (std::size_t k = 0; k < cells.size(); ++k) {
+        pending.push_back(pool.submit([this, cell = cells.subspan(k, 1)] { run_group(cell); }));
+      }
     }
     // Drain every worker before rethrowing anything, so completed cells all
     // reach the journal; an interrupt outranks other failures because it is
@@ -468,6 +515,12 @@ class SweepExecution {
     sc.tuning.heartbeat_timeout_ms = request_.worker_heartbeat_timeout_ms;
     sc.chaos = std::move(chaos);
     sc.completed = std::move(replayed);
+    // Each worker runs its shard (still cell i -> worker i % workers) a
+    // group at a time.
+    sc.order.reserve(grid_.size());
+    for (std::size_t g = 0; g < group_count_; ++g) {
+      for (std::size_t i = g; i < grid_.size(); i += group_count_) sc.order.push_back(i);
+    }
     sc.watch_signals = request_.base.watch_signals;
     sc.cancel = request_.base.cancel;
     sc.progress_bus = bus_;
@@ -488,10 +541,27 @@ class SweepExecution {
       m.diag = f.diag;
       finish(f.cell, std::move(m), "");
     };
+    // Only forked workers touch these, each its own copy: the streams of
+    // the group the worker is running, if its shard holds more than one of
+    // the group's cells.
+    const std::size_t workers = sc.workers;
+    std::size_t worker_group = group_count_;
+    std::optional<trace::StreamSet> worker_streams;
     robust::SweepSupervisor supervisor(std::move(sc));
-    (void)supervisor.run([this, &worker_base, &worker_baselines](std::size_t i) {
+    (void)supervisor.run([this, &worker_base, &worker_baselines, workers, &worker_group,
+                          &worker_streams](std::size_t i) {
+      if (i % group_count_ != worker_group) {
+        worker_group = i % group_count_;
+        std::size_t mine = 0;
+        for (std::size_t j = worker_group; j < grid_.size(); j += group_count_) {
+          mine += j % workers == i % workers;
+        }
+        worker_streams.reset();
+        if (share_streams_ && mine > 1) worker_streams.emplace();
+      }
       const MixResult r =
-          run_cell(i, worker_base, worker_baselines, /*report_retries=*/false);
+          run_cell(i, worker_base, worker_baselines, /*report_retries=*/false,
+                   worker_streams ? &*worker_streams : nullptr);
       robust::CellOutcome out;
       out.ok = r.ok;
       out.error = r.error;
@@ -549,6 +619,8 @@ class SweepExecution {
   BaselineCache& baselines_;
   const std::vector<GridPoint> grid_;
   obs::ProgressBus* const bus_;
+  const std::size_t group_count_;
+  const bool share_streams_;  ///< shares_streams(request_)
   std::optional<persist::SweepJournal> journal_;
   std::mutex finish_mu_;  ///< guards journal_ appends, done_, request_.progress
   std::uint64_t done_ = 0;
@@ -599,6 +671,13 @@ void SweepRequest::validate() const {
   }
 }
 
+bool shares_streams(const SweepRequest& request) noexcept {
+  const std::uint64_t per_thread =
+      kSharedStreamRecordBudget / std::max(1u, request.thread_count);
+  return request.base.warmup <= per_thread &&
+         request.base.horizon <= per_thread - request.base.warmup;
+}
+
 std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& baselines) {
   request.validate();
   const auto mixes = trace::mixes_for(request.thread_count);
@@ -629,7 +708,9 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
                                 ? robust::ChaosPlan::parse(request.chaos)
                                 : robust::ChaosPlan{};
   std::vector<MixResult> results =
-      SweepExecution(request, baselines, std::move(grid)).run(std::move(chaos));
+      SweepExecution(request, baselines, std::move(grid),
+                     request.iq_sizes.size() * mixes.size())
+          .run(std::move(chaos));
 
   std::vector<SweepCell> cells;
   cells.reserve(kinds.size() * request.iq_sizes.size());

@@ -111,10 +111,12 @@ struct MixResult {
 /// kind and IQ size.  The run's RNG stream is derived from
 /// (base.seed, mix name, iq) — never from the scheduler kind, so competing
 /// schedulers are compared on identical workload randomness (a paired
-/// comparison, as in the paper).
+/// comparison, as in the paper).  With `streams`, the run replays the
+/// set's shared streams (run_simulation); the result is the same.  The
+/// result keeps no metric-registry snapshot (`raw.metrics` is empty).
 MixResult run_mix(const trace::WorkloadMix& mix, core::SchedulerKind kind,
                   std::uint32_t iq_entries, const RunConfig& base,
-                  BaselineCache& baselines);
+                  BaselineCache& baselines, trace::StreamSet* streams = nullptr);
 
 /// Aggregate of the 12 mixes for one (kind, IQ size) cell.
 struct SweepCell {
@@ -217,6 +219,17 @@ struct SweepRequest {
   /// this first.
   void validate() const;
 };
+
+/// Records (8 bytes each) that one (mix, IQ) group's shared streams may
+/// need before run_sweep stops sharing them: 4 MiB.
+inline constexpr std::uint64_t kSharedStreamRecordBudget = std::uint64_t{1} << 19;
+
+/// True when run_sweep generates each (mix, IQ, thread) stream once and
+/// replays it to every scheduler kind of the group: when thread_count x
+/// (warmup + horizon), which bounds how deep any kind reads the group's
+/// streams, fits kSharedStreamRecordBudget.  Deeper sweeps generate every
+/// cell's streams, as single runs do.  See docs/PERFORMANCE.md.
+[[nodiscard]] bool shares_streams(const SweepRequest& request) noexcept;
 
 /// Runs the full cross product.  kTraditional is always run (it anchors the
 /// speedups) even when absent from `request.kinds`; it is returned only if

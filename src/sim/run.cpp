@@ -193,7 +193,7 @@ void run_phases(const RunConfig& config, smt::Pipeline& pipe,
 
 }  // namespace
 
-RunResult run_simulation(const RunConfig& config) {
+RunResult run_simulation(const RunConfig& config, trace::StreamSet* streams) {
   config.validate();
   std::vector<trace::BenchmarkProfile> profiles;
   profiles.reserve(config.benchmarks.size());
@@ -211,7 +211,7 @@ RunResult run_simulation(const RunConfig& config) {
     mc.fault_hooks = fault_session.get();
   }
 
-  smt::Pipeline pipe(mc, profiles, config.seed);
+  smt::Pipeline pipe(mc, profiles, config.seed, streams);
   robust::InvariantChecker checker;
   if (config.verify) pipe.set_observer(&checker);
 

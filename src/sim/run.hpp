@@ -162,6 +162,10 @@ struct RunResult {
 /// an invariant check fails.  With the checkpoint knobs engaged it may
 /// also throw persist::Interrupted (state already saved) and
 /// persist::PersistError (unloadable or mismatched resume file).
-[[nodiscard]] RunResult run_simulation(const RunConfig& config);
+/// `streams` (not owned, may be nullptr) lets the pipeline's threads replay
+/// shared streams instead of generating their own (smt::Pipeline); such a
+/// run cannot checkpoint, and its results are identical either way.
+[[nodiscard]] RunResult run_simulation(const RunConfig& config,
+                                       trace::StreamSet* streams = nullptr);
 
 }  // namespace msim::sim

@@ -111,17 +111,18 @@ std::vector<FunctionalDelta> Pipeline::run_functional(
         ThreadState& ts = *threads_[tid];
         const std::uint64_t burst =
             std::min(kBurst, per_thread_targets[tid] - out[tid].instructions);
-        for (std::uint64_t i = 0; i < burst; ++i) apply(tid, ts.gen.next());
+        for (std::uint64_t i = 0; i < burst; ++i) apply(tid, ts.next_inst());
       }
     }
     return out;
   }
 
   // Parallel path: one producer task per thread pre-generates the trace
-  // (each mutates only its own generator), while this thread applies the
-  // shared-state updates in the canonical order, waiting on the producers'
-  // published progress.  Producers always run to completion, so the waits
-  // below cannot deadlock even on a single-worker pool.
+  // (each advances only its own thread's stream), while this thread
+  // applies the shared-state updates in the canonical order, waiting on
+  // the producers' published progress.  Producers always run to
+  // completion, so the waits below cannot deadlock even on a
+  // single-worker pool.
   std::vector<ProducedStream> streams(config_.thread_count);
   std::vector<std::future<void>> producers;
   producers.reserve(config_.thread_count);
@@ -129,11 +130,11 @@ std::vector<FunctionalDelta> Pipeline::run_functional(
     streams[tid].buf.resize(per_thread_targets[tid]);
     producers.push_back(pool->submit([this, tid, &streams, per_thread_targets] {
       ProducedStream& s = streams[tid];
-      trace::TraceGenerator& gen = threads_[tid]->gen;
+      ThreadState& ts = *threads_[tid];
       const std::uint64_t target = per_thread_targets[tid];
       try {
         for (std::uint64_t i = 0; i < target; ++i) {
-          s.buf[i] = gen.next();
+          s.buf[i] = ts.next_inst();
           if (((i + 1) % kBurst) == 0) {
             s.ready.store(i + 1, std::memory_order_release);
           }
@@ -182,7 +183,9 @@ void Pipeline::prime_fetch_lookahead(ThreadId tid) {
 }
 
 const trace::TraceGenerator& Pipeline::generator(ThreadId tid) const {
-  return threads_.at(tid)->gen;
+  const ThreadState& ts = *threads_.at(tid);
+  MSIM_CHECK(ts.gen.has_value());
+  return *ts.gen;
 }
 
 }  // namespace msim::smt

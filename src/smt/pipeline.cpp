@@ -141,9 +141,26 @@ class Pipeline::IssueEnvImpl final {
 
 // ---- construction -----------------------------------------------------------
 
+Pipeline::ThreadState::ThreadState(const trace::BenchmarkProfile& profile,
+                                   std::uint64_t seed, ThreadId tid,
+                                   const MachineConfig& config,
+                                   trace::StreamSet* streams)
+    : fetch_queue(config.fetch_queue_entries),
+      rob(config.rob_entries_per_thread),
+      lsq(config.lsq_entries_per_thread, config.oracle_disambiguation) {
+  const trace::AddressSpace layout = trace::AddressSpace::for_thread(tid);
+  if (streams != nullptr) {
+    cursor.emplace(streams->stream(profile, seed, layout));
+    program = &cursor->program();
+  } else {
+    gen.emplace(profile, seed, layout);
+    program = &gen->program();
+  }
+}
+
 Pipeline::Pipeline(const MachineConfig& config,
                    std::span<const trace::BenchmarkProfile> workload,
-                   std::uint64_t seed)
+                   std::uint64_t seed, trace::StreamSet* streams)
     : config_(config),
       rename_(config.thread_count, config.int_phys_regs, config.fp_phys_regs),
       mem_(config.memory),
@@ -159,7 +176,7 @@ Pipeline::Pipeline(const MachineConfig& config,
   threads_.reserve(config_.thread_count);
   for (ThreadId t = 0; t < config_.thread_count; ++t) {
     threads_.push_back(std::make_unique<ThreadState>(workload[t], seeder.next_u64(),
-                                                     t, config_));
+                                                     t, config_, streams));
   }
   stall_stats_.resize(config_.thread_count);
   if (config_.trace_capacity != 0) {
@@ -305,7 +322,7 @@ const isa::DynInst& Pipeline::peek_next_inst(ThreadState& ts) {
       ts.pending = ts.replay.front();
       ts.replay.pop_front();
     } else {
-      ts.pending = ts.gen.next();
+      ts.pending = ts.next_inst();
     }
   }
   return *ts.pending;
@@ -348,7 +365,7 @@ unsigned Pipeline::fetch_from_thread(ThreadId tid, unsigned budget, Cycle now) {
           ts.on_wrong_path = true;
           ts.wp_fetch_done = false;
           ts.wp_pc = prediction.taken ? prediction.target
-                                      : ts.gen.fallthrough_of(di.pc);
+                                      : ts.program->fallthrough_of(di.pc);
           ts.wp_branch_seq = di.seq;
           ts.wp_next_seq = di.seq + 1;
           ts.wp_squash_at = kCycleNever;  // set when the branch issues
@@ -377,7 +394,7 @@ unsigned Pipeline::fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now) {
   const std::uint64_t line_bytes = config_.memory.l1i.line_bytes;
   unsigned fetched = 0;
   while (fetched < budget && !ts.fetch_queue.full()) {
-    isa::DynInst wi = ts.gen.synthesize_wrong_path(ts.wp_pc, ts.wp_rng);
+    isa::DynInst wi = ts.program->synthesize_wrong_path(ts.wp_pc, ts.wp_rng);
     wi.seq = ts.wp_next_seq;
 
     // Wrong-path fetch misses the I-cache like any other fetch (in fact
@@ -404,7 +421,7 @@ unsigned Pipeline::fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now) {
         ts.wp_pc = prediction.target;
         stop_after = true;  // fetch discontinuity
       } else {
-        ts.wp_pc = ts.gen.fallthrough_of(wi.pc);
+        ts.wp_pc = ts.program->fallthrough_of(wi.pc);
       }
     } else {
       ts.wp_pc = wi.next_pc;
@@ -558,7 +575,7 @@ void Pipeline::flush_thread_after(ThreadId tid, SeqNum after_seq, Cycle now,
     }
   } else {
     // Branch resolution: the squashed suffix was wrong-path only; the
-    // correct-path stream continues from ts.pending / the generator.
+    // correct-path stream continues from ts.pending / the thread's stream.
     MSIM_CHECK(refetch.empty());
   }
 
@@ -914,7 +931,10 @@ void Pipeline::trace_squash(ThreadId tid, SeqNum min_seq, Cycle now) {
 
 void Pipeline::thread_state_io(persist::Archive& ar, ThreadState& ts) {
   ar.section("thread");
-  ts.gen.state_io(ar);
+  // A replayed stream's position is not generator state; sweep cells, the
+  // only replaying runs, never checkpoint.
+  MSIM_CHECK(ts.gen.has_value());
+  ts.gen->state_io(ar);
   ar.io_sequence(ts.replay, isa::io_dyn_inst);
   ar.io_optional(ts.pending, isa::io_dyn_inst);
   ar.io_ring(ts.fetch_queue, "fetch queue", [](persist::Archive& a, FetchedInst& f) {

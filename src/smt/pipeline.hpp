@@ -37,6 +37,7 @@
 #include "smt/rename.hpp"
 #include "smt/rob.hpp"
 #include "trace/generator.hpp"
+#include "trace/shared_stream.hpp"
 
 namespace msim::robust {
 class InvariantChecker;  // friend of Pipeline; see src/robust/invariant.hpp
@@ -135,9 +136,15 @@ class PipelineObserver {
 
 class Pipeline {
  public:
-  /// One trace generator per hardware thread, in thread order.
+  /// One instruction stream per hardware thread, in thread order, each
+  /// seeded from `seed`.  Each thread generates its stream itself, or,
+  /// with `streams`, replays the set's stream for its profile, seed and
+  /// layout (made on first use); such a pipeline cannot be checkpointed
+  /// (sweep cells; see docs/PERFORMANCE.md).  `streams` is not owned and
+  /// must outlive the pipeline.
   Pipeline(const MachineConfig& config,
-           std::span<const trace::BenchmarkProfile> workload, std::uint64_t seed);
+           std::span<const trace::BenchmarkProfile> workload, std::uint64_t seed,
+           trace::StreamSet* streams = nullptr);
   ~Pipeline();
 
   Pipeline(const Pipeline&) = delete;
@@ -192,7 +199,9 @@ class Pipeline {
   /// predictors, broadcast calendar, statistics, sampled gauges) so that a
   /// load into a pipeline freshly constructed with the same configuration,
   /// workload and seed continues bit-identically: same commit-stream
-  /// digest, same statistics.  See docs/CHECKPOINT.md.
+  /// digest, same statistics.  See docs/CHECKPOINT.md.  A thread that
+  /// replays a shared stream has no generator state to save or load, so
+  /// either call on such a pipeline fails a check.
   void save_state(persist::Archive& ar) const;
   void load_state(persist::Archive& ar);
 
@@ -218,7 +227,8 @@ class Pipeline {
   /// Generates the fetch lookahead for `tid` if it is empty (test hook for
   /// aligning generator state with a detailed run whose lookahead engaged).
   void prime_fetch_lookahead(ThreadId tid);
-  /// The thread's trace generator (equivalence tests; read-only).
+  /// The thread's trace generator (equivalence tests; read-only).  Fails
+  /// a check for a thread that replays a shared stream.
   [[nodiscard]] const trace::TraceGenerator& generator(ThreadId tid) const;
   [[nodiscard]] std::uint64_t total_committed() const noexcept;
   [[nodiscard]] double ipc(ThreadId tid) const;
@@ -269,13 +279,16 @@ class Pipeline {
 
   struct ThreadState {
     ThreadState(const trace::BenchmarkProfile& profile, std::uint64_t seed,
-                ThreadId tid, const MachineConfig& config)
-        : gen(profile, seed, trace::AddressSpace::for_thread(tid)),
-          fetch_queue(config.fetch_queue_entries),
-          rob(config.rob_entries_per_thread),
-          lsq(config.lsq_entries_per_thread, config.oracle_disambiguation) {}
+                ThreadId tid, const MachineConfig& config, trace::StreamSet* streams);
 
-    trace::TraceGenerator gen;
+    /// Next instruction of the thread's program-order stream.
+    isa::DynInst next_inst() { return cursor ? cursor->next() : gen->next(); }
+
+    // Exactly one of the two is engaged: the thread generates its stream,
+    // or replays a shared one.
+    std::optional<trace::TraceGenerator> gen;
+    std::optional<trace::StreamCursor> cursor;
+    const trace::StaticProgram* program = nullptr;  ///< the stream's
     std::deque<isa::DynInst> replay;       ///< refilled by watchdog flushes
     std::optional<isa::DynInst> pending;   ///< one-instruction fetch lookahead
     Ring<FetchedInst> fetch_queue;

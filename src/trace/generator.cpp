@@ -8,15 +8,22 @@
 namespace msim::trace {
 namespace {
 
-constexpr Addr kInstBytes = 4;
+constexpr Addr kInstBytes = StaticProgram::kInstBytes;
+static_assert(sizeof(StaticProgram::Block) == 16);
 constexpr Addr kHotRegionBytes = 4096;
 constexpr std::uint32_t kMaxBlockLen = 48;
+/// Destination registers are allocated round-robin over regs 1..28 (and
+/// their fp mirror).
+constexpr unsigned kDestPool = 28;
+// Code-locality structure (see StaticProgram::build_cfg).
+constexpr std::uint32_t kRegionBlocks = 64;
+constexpr double kRegionExitFrac = 0.08;
 
 }  // namespace
 
-TraceGenerator::TraceGenerator(const BenchmarkProfile& profile, std::uint64_t seed,
-                               AddressSpace layout)
-    : profile_(profile), layout_(layout), rng_(seed) {
+StaticProgram::StaticProgram(const BenchmarkProfile& profile, AddressSpace layout,
+                             Rng& rng, std::vector<std::uint32_t>& trip_start)
+    : profile_(profile), layout_(layout) {
   MSIM_CHECK(profile_.branch_weight() > 0.0);
   MSIM_CHECK(profile_.code_footprint >= 1024);
   MSIM_CHECK(profile_.data_footprint >= kHotRegionBytes);
@@ -40,6 +47,14 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile& profile, std::uint64_t se
   }
   MSIM_CHECK(non_branch_count_ > 0);
 
+  build_cfg(rng, trip_start);
+}
+
+TraceGenerator::TraceGenerator(const BenchmarkProfile& profile, std::uint64_t seed,
+                               AddressSpace layout)
+    : rng_(seed),
+      program_(profile, layout, rng_, trip_count_),
+      profile_(profile) {
   // Seed the producer rings with always-live low registers so that early
   // dependence samples resolve to *some* architectural register.
   for (unsigned i = 0; i < kRingSize; ++i) {
@@ -51,11 +66,9 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile& profile, std::uint64_t se
   for (std::size_t s = 0; s < stream_pos_.size(); ++s) {
     stream_pos_[s] = profile_.data_footprint * s / stream_pos_.size();
   }
-
-  build_static_cfg();
 }
 
-void TraceGenerator::build_static_cfg() {
+void StaticProgram::build_cfg(Rng& rng, std::vector<std::uint32_t>& trip_start) {
   // Normalize branch frequency to derive the mean basic-block length.
   double weight_sum = 0.0;
   for (double w : profile_.op_weights) weight_sum += w;
@@ -88,41 +101,45 @@ void TraceGenerator::build_static_cfg() {
       static_cast<double>(static_insts) * static_cast<double>(len_span + 1) /
       len_sum);
   blocks_.reserve(expected_blocks + expected_blocks / 32 + 16);
+  trip_start.clear();
+  trip_start.reserve(blocks_.capacity());
 
-  Addr pc = layout_.code_base;
+  // Block starts are 32-bit instruction indices.
+  MSIM_CHECK(static_insts < (std::uint64_t{1} << 32) - kMaxBlockLen);
   std::uint64_t emitted = 0;
   while (emitted < static_insts) {
     Block b;
-    b.start_pc = pc;
-    b.length = std::min<std::uint32_t>(
+    b.start = static_cast<std::uint32_t>(emitted);
+    b.length = static_cast<std::uint8_t>(std::min<std::uint32_t>(
         kMaxBlockLen,
-        len_base + static_cast<std::uint32_t>(rng_.next_below(len_span + 1)));
-    b.unconditional = rng_.chance(profile_.branch_uncond_frac);
+        len_base + static_cast<std::uint32_t>(rng.next_below(len_span + 1))));
+    std::uint32_t phase = 0;
+    b.unconditional = rng.chance(profile_.branch_uncond_frac);
     if (b.unconditional) {
       b.taken_bias = 1.0f;
       b.prefer_taken = true;
-    } else if (rng_.chance(profile_.branch_predictable_frac)) {
-      b.prefer_taken = rng_.chance(0.6);
-      if (rng_.chance(0.5)) {
+    } else if (rng.chance(profile_.branch_predictable_frac)) {
+      b.prefer_taken = rng.chance(0.6);
+      if (rng.chance(0.5)) {
         // Loop-style branch: a deterministic trip pattern (the preferred
         // direction `trip - 1` times, then once the other way).  The
         // predictor mispredicts about once per trip, so the profile's mean
         // trip count sets the loop-exit miss rate, as in real codes.
         const double p = 1.0 / std::max(1.0, profile_.mean_loop_trip - 2.0);
-        b.trip = 2 + static_cast<std::uint32_t>(
-                         std::min<std::uint64_t>(rng_.next_geometric(p), 511));
-        b.trip_count = static_cast<std::uint32_t>(rng_.next_below(b.trip));
+        b.trip = static_cast<std::uint16_t>(
+            2 + std::min<std::uint64_t>(rng.next_geometric(p), 511));
+        phase = static_cast<std::uint32_t>(rng.next_below(b.trip));
       } else {
         // Statically biased branch (guard conditions, error paths): the
         // 2-bit counters alone predict these well.
         b.taken_bias = b.prefer_taken ? 0.97f : 0.03f;
       }
     } else {
-      b.taken_bias = static_cast<float>(0.35 + 0.30 * rng_.next_double());
+      b.taken_bias = static_cast<float>(0.35 + 0.30 * rng.next_double());
     }
-    pc += b.length * kInstBytes;
     emitted += b.length;
     blocks_.push_back(b);
+    trip_start.push_back(phase);
   }
 
   // Fix up taken targets now that the block count is known.  Code locality
@@ -139,16 +156,16 @@ void TraceGenerator::build_static_cfg() {
     const std::uint32_t region_base = (i / region) * region;
     const std::uint32_t region_size = std::min(region, n - region_base);
     std::uint32_t target;
-    if (rng_.chance(kRegionExitFrac)) {
-      target = static_cast<std::uint32_t>(rng_.next_below(n));
-    } else if (rng_.chance(0.7)) {
+    if (rng.chance(kRegionExitFrac)) {
+      target = static_cast<std::uint32_t>(rng.next_below(n));
+    } else if (rng.chance(0.7)) {
       // Loop-shaped: jump a short distance backward within the region.
-      const auto back = 1 + static_cast<std::uint32_t>(rng_.next_below(8));
+      const auto back = 1 + static_cast<std::uint32_t>(rng.next_below(8));
       target = region_base +
                (i - region_base + region_size - std::min(back, region_size - 1)) %
                    region_size;
     } else {
-      target = region_base + static_cast<std::uint32_t>(rng_.next_below(region_size));
+      target = region_base + static_cast<std::uint32_t>(rng.next_below(region_size));
     }
     if (target == i) target = (i + 1) % n;
     blocks_[i].target = target;
@@ -207,16 +224,14 @@ Addr TraceGenerator::sample_mem_addr() {
   } else {
     offset = rng_.next_below(profile_.data_footprint);
   }
-  return (layout_.data_base + offset) & ~Addr{7};
+  return (program_.layout().data_base + offset) & ~Addr{7};
 }
 
 isa::DynInst TraceGenerator::make_non_branch(Addr pc) {
   isa::DynInst inst;
   inst.pc = pc;
   inst.next_pc = pc + kInstBytes;
-  const std::size_t pick =
-      rng_.next_index({non_branch_cum_.data(), non_branch_count_});
-  inst.op = non_branch_ops_[pick];
+  inst.op = program_.sample_non_branch_op(rng_);
 
   using isa::OpClass;
   switch (inst.op) {
@@ -263,7 +278,7 @@ isa::DynInst TraceGenerator::make_non_branch(Addr pc) {
   return inst;
 }
 
-isa::DynInst TraceGenerator::make_branch(Block& block, Addr pc) {
+isa::DynInst TraceGenerator::make_branch(const Block& block, Addr pc) {
   isa::DynInst inst;
   inst.pc = pc;
   inst.op = isa::OpClass::kBranch;
@@ -276,32 +291,31 @@ isa::DynInst TraceGenerator::make_branch(Block& block, Addr pc) {
   if (block.unconditional) {
     inst.taken = true;
   } else if (block.trip > 0) {
-    ++block.trip_count;
-    const bool preferred = block.trip_count % block.trip != 0;
+    const std::uint32_t trips = ++trip_count_[cur_block_];
+    const bool preferred = trips % block.trip != 0;
     inst.taken = preferred == block.prefer_taken;
   } else {
     inst.taken = rng_.chance(block.taken_bias);
   }
-  const std::uint32_t next_block =
-      inst.taken ? block.target
-                 : (cur_block_ + 1) % static_cast<std::uint32_t>(blocks_.size());
-  inst.next_pc = blocks_[next_block].start_pc;
+  const std::uint32_t next_block = program_.successor(cur_block_, inst.taken);
+  inst.next_pc = program_.start_pc(program_.blocks()[next_block]);
   cur_block_ = next_block;
   pos_in_block_ = 0;
   return inst;
 }
 
-std::size_t TraceGenerator::block_of(Addr pc) const {
-  const Addr code_end = blocks_.back().start_pc + blocks_.back().length * kInstBytes;
+std::size_t StaticProgram::block_of(Addr pc) const {
+  const Addr code_end = start_pc(blocks_.back()) + blocks_.back().length * kInstBytes;
   if (pc < layout_.code_base || pc >= code_end) {
     pc = layout_.code_base + (pc % (code_end - layout_.code_base)) / kInstBytes *
                                  kInstBytes;
   }
-  // First block whose start_pc is greater than pc, minus one.
+  // First block that starts past pc, minus one.
+  const Addr index = (pc - layout_.code_base) / kInstBytes;
   std::size_t lo = 0, hi = blocks_.size();
   while (lo + 1 < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    if (blocks_[mid].start_pc <= pc) {
+    if (blocks_[mid].start <= index) {
       lo = mid;
     } else {
       hi = mid;
@@ -310,25 +324,26 @@ std::size_t TraceGenerator::block_of(Addr pc) const {
   return lo;
 }
 
-bool TraceGenerator::is_branch_slot(Addr pc) const {
+bool StaticProgram::is_branch_slot(Addr pc) const {
   const Block& b = blocks_[block_of(pc)];
-  return pc >= b.start_pc && pc == b.start_pc + (b.length - 1) * kInstBytes;
+  const Addr first = start_pc(b);
+  return pc >= first && pc == first + (b.length - 1) * kInstBytes;
 }
 
-Addr TraceGenerator::fallthrough_of(Addr pc) const {
+Addr StaticProgram::fallthrough_of(Addr pc) const {
   const std::size_t idx = block_of(pc);
   const Block& b = blocks_[idx];
   const Addr next = pc + kInstBytes;
-  const Addr block_end = b.start_pc + b.length * kInstBytes;
+  const Addr block_end = start_pc(b) + b.length * kInstBytes;
   if (next < block_end) return next;
-  return blocks_[(idx + 1) % blocks_.size()].start_pc;
+  return start_pc(blocks_[(idx + 1) % blocks_.size()]);
 }
 
-isa::DynInst TraceGenerator::synthesize_wrong_path(Addr pc, Rng& rng) const {
+isa::DynInst StaticProgram::synthesize_wrong_path(Addr pc, Rng& rng) const {
   const std::size_t idx = block_of(pc);
   const Block& b = blocks_[idx];
-  const Addr folded =
-      pc >= b.start_pc && pc < b.start_pc + b.length * kInstBytes ? pc : b.start_pc;
+  const Addr first = start_pc(b);
+  const Addr folded = pc >= first && pc < first + b.length * kInstBytes ? pc : first;
 
   isa::DynInst inst;
   inst.pc = folded;
@@ -347,8 +362,7 @@ isa::DynInst TraceGenerator::synthesize_wrong_path(Addr pc, Rng& rng) const {
   // drawn over the recently-writable register window; actual readiness is
   // whatever the rename map says, which is exactly the point: wrong-path
   // instructions compete for real resources.
-  const std::size_t pick = rng.next_index({non_branch_cum_.data(), non_branch_count_});
-  inst.op = non_branch_ops_[pick];
+  inst.op = sample_non_branch_op(rng);
   const bool fp = isa::writes_fp_reg(inst.op) ||
                   (inst.op == isa::OpClass::kLoad && rng.chance(profile_.fp_load_frac));
   const auto reg_of = [&rng](bool want_fp) {
@@ -380,8 +394,8 @@ isa::DynInst TraceGenerator::synthesize_wrong_path(Addr pc, Rng& rng) const {
 }
 
 isa::DynInst TraceGenerator::next() {
-  Block& block = blocks_[cur_block_];
-  const Addr pc = block.start_pc + Addr{pos_in_block_} * kInstBytes;
+  const Block& block = program_.blocks()[cur_block_];
+  const Addr pc = program_.start_pc(block) + Addr{pos_in_block_} * kInstBytes;
   isa::DynInst inst;
   if (pos_in_block_ + 1 >= block.length) {
     inst = make_branch(block, pc);  // resets cur_block_/pos_in_block_
@@ -398,13 +412,13 @@ void TraceGenerator::state_io(persist::Archive& ar) {
   rng_.state_io(ar);
   // Static CFG shape is reconstructed from (profile, seed); only the
   // per-block walk counters are dynamic.
-  std::uint64_t block_count = blocks_.size();
+  std::uint64_t block_count = trip_count_.size();
   ar.io(block_count);
-  if (!ar.saving() && block_count != blocks_.size()) {
+  if (!ar.saving() && block_count != trip_count_.size()) {
     throw persist::PersistError(
         "checkpoint: static CFG shape mismatch (different profile or seed)");
   }
-  for (Block& b : blocks_) ar.io(b.trip_count);
+  for (std::uint32_t& trips : trip_count_) ar.io(trips);
   ar.io(cur_block_);
   ar.io(pos_in_block_);
   ar.io(next_seq_);

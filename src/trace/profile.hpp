@@ -102,6 +102,8 @@ struct BenchmarkProfile {
   [[nodiscard]] double branch_weight() const noexcept {
     return op_weights[static_cast<std::size_t>(isa::OpClass::kBranch)];
   }
+
+  friend bool operator==(const BenchmarkProfile&, const BenchmarkProfile&) = default;
 };
 
 /// All benchmark profiles, in a fixed order.  24 entries named after the

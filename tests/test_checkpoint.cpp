@@ -19,6 +19,7 @@
 //      its write-ahead journal to byte-identical aggregate JSON at any
 //      jobs count.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -32,7 +33,9 @@
 #include <unistd.h>
 
 #include "common/archive.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
+#include "core/issue_queue.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/signal.hpp"
 #include "robust/diagnostic.hpp"
@@ -394,6 +397,62 @@ TEST(CheckpointLoad, CorruptRobCountIsRefused) {
               std::string::npos)
         << e.what();
   }
+}
+
+// A waiter-list count is bounded by the bytes that follow it before any
+// storage grows.  Counts with the low 32 bits above 2^31 once spun forever
+// in SmallVec::reserve's doubling loop.  With one waiter on tag 7 the
+// stream holds eight lists: seven empty ones, then a count of one.
+TEST(CheckpointLoad, CorruptWaiterCountIsRefused) {
+  core::IssueQueue iq(4, 2);
+  const std::array<PhysReg, 1> tags{7};
+  core::SchedInst si;
+  iq.dispatch(si, {tags.data(), 1}, 0);
+  persist::Archive save = persist::Archive::saver();
+  iq.state_io(save);
+  std::vector<std::uint8_t> bytes = save.bytes();
+
+  std::vector<std::uint8_t> lists;
+  put_le(lists, 8, 8);
+  for (int tag = 0; tag < 7; ++tag) put_le(lists, 0, 8);
+  put_le(lists, 1, 8);
+  const std::size_t count_at = find_fields(bytes, lists) + lists.size() - 8;
+  ASSERT_LE(count_at + 8, bytes.size());
+  for (const std::uint64_t count : {std::uint64_t{0x80000001}, std::uint64_t{0xffffffff},
+                                    std::uint64_t{0x100000001}}) {
+    SCOPED_TRACE(count);
+    std::vector<std::uint8_t> corrupt = bytes;
+    for (int i = 0; i < 8; ++i) {
+      corrupt[count_at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    core::IssueQueue target(4, 2);
+    persist::Archive load = persist::Archive::loader(corrupt);
+    try {
+      target.state_io(load);
+      FAIL() << "a waiter count of " << count << " loaded";
+    } catch (const persist::PersistError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds remaining stream"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A pipeline whose threads replay shared streams (a sweep cell) has no
+// generator state to write, so saving it fails a check instead of writing
+// a checkpoint nothing could resume.
+TEST(CheckpointSave, ReplayingPipelineRefusesToSave) {
+  const auto w = workload({"gzip", "equake"});
+  const auto mc = golden_machine(core::SchedulerKind::kTwoOpBlockOoo, 2);
+  trace::StreamSet streams;
+  smt::Pipeline replaying(mc, w, /*seed=*/1, &streams);
+  smt::Pipeline generating(mc, w, /*seed=*/1);
+  replaying.run(2'000);
+  generating.run(2'000);
+  EXPECT_EQ(replaying.commit_digest(), generating.commit_digest());
+  persist::Archive save = persist::Archive::saver();
+  EXPECT_THROW(replaying.save_state(save), CheckError);
+  EXPECT_THROW((void)replaying.generator(0), CheckError);
 }
 
 // The scheduler's round-robin origin indexes per-thread state directly, so

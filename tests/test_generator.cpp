@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "trace/profile.hpp"
+#include "trace/shared_stream.hpp"
 
 namespace msim::trace {
 namespace {
@@ -243,7 +245,7 @@ TEST(WrongPath, SynthesisDoesNotDisturbTheArchitecturalWalk) {
   for (int i = 0; i < 2000; ++i) {
     const isa::DynInst ia = a.next();
     if (i % 7 == 0) {
-      (void)a.synthesize_wrong_path(ia.pc + 64, wp_rng);
+      (void)a.program().synthesize_wrong_path(ia.pc + 64, wp_rng);
     }
     const isa::DynInst ib = b.next();
     ASSERT_EQ(ia.pc, ib.pc);
@@ -259,7 +261,7 @@ TEST(WrongPath, SynthesizedInstructionsAreWellFormed) {
   Rng wp_rng(9);
   Addr pc = layout.code_base;
   for (int i = 0; i < 5000; ++i) {
-    const isa::DynInst wi = gen.synthesize_wrong_path(pc, wp_rng);
+    const isa::DynInst wi = gen.program().synthesize_wrong_path(pc, wp_rng);
     ASSERT_GE(wi.pc, layout.code_base);
     ASSERT_LE(wi.source_count(), 2u);
     if (wi.is_mem()) {
@@ -280,11 +282,11 @@ TEST(WrongPath, BranchSlotsMatchTheRealStream) {
   Rng wp_rng(1);
   for (int i = 0; i < 5000; ++i) {
     const isa::DynInst inst = gen.next();
-    EXPECT_EQ(probe.is_branch_slot(inst.pc), inst.is_branch()) << i;
-    const isa::DynInst twin = probe.synthesize_wrong_path(inst.pc, wp_rng);
+    EXPECT_EQ(probe.program().is_branch_slot(inst.pc), inst.is_branch()) << i;
+    const isa::DynInst twin = probe.program().synthesize_wrong_path(inst.pc, wp_rng);
     EXPECT_EQ(twin.is_branch(), inst.is_branch()) << i;
     if (!inst.is_branch()) {
-      EXPECT_EQ(probe.fallthrough_of(inst.pc), inst.pc + 4);
+      EXPECT_EQ(probe.program().fallthrough_of(inst.pc), inst.pc + 4);
     }
   }
 }
@@ -293,8 +295,119 @@ TEST(WrongPath, OutOfRangePcIsFolded) {
   const BenchmarkProfile& p = profile_or_throw("swim");
   TraceGenerator gen(p, 80);
   Rng wp_rng(2);
-  const isa::DynInst wi = gen.synthesize_wrong_path(0xdead'beef'0000'0000, wp_rng);
+  const isa::DynInst wi = gen.program().synthesize_wrong_path(0xdead'beef'0000'0000, wp_rng);
   EXPECT_GE(wi.pc, AddressSpace{}.code_base);
+}
+
+// ---- shared streams: generate once, replay many times ---------------------------
+
+std::vector<isa::DynInst> take(StreamCursor& cursor, std::size_t n) {
+  std::vector<isa::DynInst> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(cursor.next());
+  return out;
+}
+
+/// Every field of every instruction, so a replay must reproduce the
+/// generator's stream exactly.
+void expect_same_stream(const std::vector<isa::DynInst>& want,
+                        const std::vector<isa::DynInst>& got, std::size_t offset = 0) {
+  ASSERT_LE(offset + got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const isa::DynInst& w = want[offset + i];
+    const isa::DynInst& g = got[i];
+    SCOPED_TRACE("instruction " + std::to_string(offset + i));
+    ASSERT_EQ(g.seq, w.seq);
+    ASSERT_EQ(g.pc, w.pc);
+    ASSERT_EQ(g.next_pc, w.next_pc);
+    ASSERT_EQ(g.mem_addr, w.mem_addr);
+    ASSERT_EQ(g.op, w.op);
+    ASSERT_EQ(g.dest, w.dest);
+    ASSERT_EQ(g.src[0], w.src[0]);
+    ASSERT_EQ(g.src[1], w.src[1]);
+    ASSERT_EQ(g.taken, w.taken);
+  }
+}
+
+TEST(SharedStream, EveryProfileReplaysItsGeneratorExactly) {
+  const AddressSpace layout = AddressSpace::for_thread(3);
+  for (const BenchmarkProfile& p : all_profiles()) {
+    SCOPED_TRACE(std::string(p.name));
+    TraceGenerator gen(p, 41, layout);
+    const std::vector<isa::DynInst> want = take(gen, 3 * SharedStream::kChunk);
+    SharedStream stream(p, 41, layout);
+    StreamCursor cursor(stream);
+    expect_same_stream(want, take(cursor, want.size()));
+  }
+}
+
+TEST(SharedStream, InterleavedCursorsCrossChunkBoundaries) {
+  const BenchmarkProfile& p = profile_or_throw("gcc");
+  const AddressSpace layout = AddressSpace::for_thread(1);
+  TraceGenerator gen(p, 7, layout);
+  const std::vector<isa::DynInst> want = take(gen, 6 * SharedStream::kChunk);
+
+  SharedStream stream(p, 7, layout);
+  StreamCursor a(stream), b(stream);
+  // Uneven strides, so the two cursors cross chunk boundaries at different
+  // times and each sometimes reads a chunk the other generated.
+  std::size_t at_a = 0, at_b = 0;
+  const std::size_t strides[] = {1, SharedStream::kChunk - 1, 3, SharedStream::kChunk + 5,
+                                 SharedStream::kChunk / 2, 700};
+  for (const std::size_t n : strides) {
+    expect_same_stream(want, take(a, n), at_a);
+    at_a += n;
+    expect_same_stream(want, take(b, 2 * n), at_b);
+    at_b += 2 * n;
+  }
+  EXPECT_EQ(stream.generated() % SharedStream::kChunk, 0u);
+  EXPECT_LT(stream.generated(), std::max(at_a, at_b) + SharedStream::kChunk);
+}
+
+TEST(SharedStream, StreamSetSharesByIdentity) {
+  const BenchmarkProfile& gcc = profile_or_throw("gcc");
+  const AddressSpace t0 = AddressSpace::for_thread(0);
+  StreamSet set;
+  SharedStream* const s = &set.stream(gcc, 5, t0);
+  EXPECT_EQ(&set.stream(gcc, 5, t0), s);
+  EXPECT_NE(&set.stream(gcc, 6, t0), s);
+  EXPECT_NE(&set.stream(gcc, 5, AddressSpace::for_thread(1)), s);
+  EXPECT_NE(&set.stream(profile_or_throw("swim"), 5, t0), s);
+  BenchmarkProfile tweaked = gcc;
+  tweaked.far_operand_frac += 0.01;
+  EXPECT_NE(&set.stream(tweaked, 5, t0), s);
+}
+
+// Every data address a generator can emit must fit a record, or replays
+// would be wrong; a profile beyond the record's range fails loudly.
+TEST(SharedStream, EveryProfileFitsTheRecord) {
+  for (const BenchmarkProfile& p : all_profiles()) {
+    EXPECT_LE(p.data_footprint, kPackedFootprintLimit) << p.name;
+  }
+  BenchmarkProfile huge = profile_or_throw("art");
+  huge.data_footprint = kPackedFootprintLimit * 2;
+  EXPECT_THROW(SharedStream(huge, 1, AddressSpace{}), CheckError);
+}
+
+TEST(SharedStream, PackRoundTripsTheRecordFields) {
+  const Addr base = AddressSpace::for_thread(3).data_base;
+  isa::DynInst load;
+  load.op = isa::OpClass::kLoad;
+  load.dest = 60;
+  load.src[0] = 1;
+  load.mem_addr = base + ((std::uint64_t{1} << 41) - 8);
+  isa::DynInst branch;
+  branch.op = isa::OpClass::kBranch;
+  branch.taken = true;
+  for (const isa::DynInst& inst : {load, branch}) {
+    const isa::DynInst back = unpack(pack(inst, base), base);
+    EXPECT_EQ(back.op, inst.op);
+    EXPECT_EQ(back.taken, inst.taken);
+    EXPECT_EQ(back.dest, inst.dest);
+    EXPECT_EQ(back.src[0], inst.src[0]);
+    EXPECT_EQ(back.src[1], inst.src[1]);
+    EXPECT_EQ(back.mem_addr, inst.mem_addr);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The parallel sweep engine's contract: fanning the (mix, kind, iq) grid
 // out across a thread pool changes wall-clock time and *nothing else*.
-// These tests pin that contract from three sides — the pool itself, the
-// single-flight BaselineCache, and end-to-end parallel-equals-serial
-// determinism of run_sweep across several seeds.
+// These tests pin that contract from four sides — the pool itself, the
+// single-flight BaselineCache, end-to-end parallel-equals-serial
+// determinism of run_sweep across several seeds, and every cell of a sweep
+// (which replays its group's shared streams) against a standalone run.
 //
 // Double comparisons here deliberately use EXPECT_EQ, not EXPECT_DOUBLE_EQ:
 // the guarantee is bit-identical results, not results within a few ULPs.
@@ -14,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/archive.hpp"
+#include "common/config.hpp"
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/config_build.hpp"
 #include "sim/experiment.hpp"
 
 namespace msim::sim {
@@ -206,6 +211,158 @@ TEST(ParallelSweep, ProgressFiresOncePerMixWhenParallel) {
   BaselineCache cache(req.base);
   (void)run_sweep(req, cache);
   EXPECT_EQ(calls.load(), 12u);  // one per mix, regardless of worker count
+}
+
+// ---------------------------------------------------------------------------
+// Shared streams: every sweep cell equals a standalone run
+// ---------------------------------------------------------------------------
+//
+// A sweep's cells replay their (mix, IQ) group's shared streams, while a
+// standalone run_simulation generates its own.  A replay bug would make
+// two sweeps agree with each other, so these tests compare each cell with
+// an independent run of its configuration instead, on every backend.
+
+/// Every statistic of a run, in one comparable byte string.
+std::vector<std::uint8_t> stats_bytes(RunResult r) {
+  persist::Archive ar = persist::Archive::saver();
+  ar.io(r.cycles);
+  ar.io(r.per_thread_ipc);
+  ar.io(r.per_thread_committed);
+  ar.io(r.throughput_ipc);
+  ar.io(r.commit_digest);
+  core::io_dispatch_stats(ar, r.dispatch);
+  core::io_iq_stats(ar, r.iq);
+  ar.io(r.iq_mean_occupancy);
+  mem::io_cache_stats(ar, r.memory.l1i);
+  mem::io_cache_stats(ar, r.memory.l1d);
+  mem::io_cache_stats(ar, r.memory.l2);
+  ar.io(r.memory.memory_accesses);
+  ar.io(r.bpred.branches);
+  ar.io(r.bpred.mispredicts);
+  smt::io_pipeline_stats(ar, r.pipeline);
+  ar.io(r.truncated);
+  return ar.bytes();
+}
+
+/// Runs the 2T grid (four kinds x two IQ sizes) built from `knobs` on the
+/// thread backend at jobs=1 and jobs=3 and on the process backend, and
+/// checks every cell against run_simulation of its config and derived seed.
+void expect_cells_match_standalone_runs(const std::string& knobs, bool shared = true) {
+  KvConfig kv;
+  kv.set("sweep", "2");
+  kv.set("warmup", "1000");
+  kv.set("horizon", "5000");
+  for (const std::string& knob : split_csv(knobs)) {
+    if (knob.empty()) continue;
+    const std::size_t eq = knob.find('=');
+    kv.set(knob.substr(0, eq), knob.substr(eq + 1));
+  }
+  const BuiltRun built = build_run_config(kv);  // owns the fault injector
+  SweepRequest req;
+  req.thread_count = 2;
+  req.kinds = {core::SchedulerKind::kTraditional, core::SchedulerKind::kTwoOpBlock,
+               core::SchedulerKind::kTwoOpBlockOoo,
+               core::SchedulerKind::kTwoOpBlockOooFiltered};
+  req.iq_sizes = {16, 48};
+  req.base = built.config;
+  ASSERT_EQ(shares_streams(req), shared);
+
+  std::map<std::string, std::vector<std::uint8_t>> want;  // by cell key
+  auto key = [](const SweepCell& cell, const MixResult& m) {
+    return std::string(core::scheduler_kind_name(cell.kind)) + " iq=" +
+           std::to_string(cell.iq_entries) + " " + m.mix_name;
+  };
+  for (const trace::WorkloadMix& mix : trace::mixes_for(2)) {
+    for (const core::SchedulerKind kind : req.kinds) {
+      for (const std::uint32_t iq : req.iq_sizes) {
+        RunConfig cfg = req.base;
+        cfg.benchmarks.assign(mix.threads().begin(), mix.threads().end());
+        cfg.kind = kind;
+        cfg.iq_entries = iq;
+        cfg.seed = derive_stream_seed(req.base.seed, "mix:" + std::string(mix.name), iq);
+        want[std::string(core::scheduler_kind_name(kind)) + " iq=" +
+             std::to_string(iq) + " " + std::string(mix.name)] =
+            stats_bytes(run_simulation(cfg));
+      }
+    }
+  }
+
+  auto check = [&](SweepRequest backend, const std::string& label) {
+    SCOPED_TRACE(knobs + " on " + label);
+    BaselineCache baselines(backend.base);
+    const std::vector<SweepCell> cells = run_sweep(backend, baselines);
+    ASSERT_EQ(cells.size(), 8u);
+    std::size_t checked = 0;
+    for (const SweepCell& cell : cells) {
+      for (const MixResult& m : cell.mixes) {
+        SCOPED_TRACE(key(cell, m));
+        ASSERT_TRUE(m.ok) << m.error;
+        EXPECT_TRUE(m.raw.metrics.empty());
+        EXPECT_EQ(stats_bytes(m.raw), want.at(key(cell, m)));
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, want.size());
+  };
+  SweepRequest serial = req;
+  serial.jobs = 1;
+  check(serial, "jobs=1");
+  SweepRequest pooled = req;
+  pooled.jobs = 3;
+  check(pooled, "jobs=3");
+#if !defined(__SANITIZE_THREAD__)
+  // TSan kills a child of a multithreaded fork that starts a thread (see
+  // tests/test_supervisor.cpp).
+  SweepRequest forked = req;
+  forked.isolation = SweepIsolation::kProcess;
+  forked.workers = 3;
+  check(forked, "isolation=process workers=3");
+#endif
+}
+
+TEST(SharedStreamSweep, EveryCellEqualsAStandaloneRun) {
+  expect_cells_match_standalone_runs("");
+}
+
+TEST(SharedStreamSweep, EveryCellEqualsAStandaloneRunWithWrongPaths) {
+  expect_cells_match_standalone_runs("wrong_path=1");
+}
+
+TEST(SharedStreamSweep, EveryCellEqualsAStandaloneRunUnderFlushFetch) {
+  expect_cells_match_standalone_runs("fetch=flush");
+}
+
+TEST(SharedStreamSweep, EveryCellEqualsAStandaloneRunUnderFaults) {
+  expect_cells_match_standalone_runs("fault_intensity=0.5,fault_seed=3");
+}
+
+// Beyond the record budget every cell generates its own streams;
+// max_cycles keeps this deep sweep short.
+TEST(SharedStreamSweep, EveryCellEqualsAStandaloneRunBeyondTheRecordBudget) {
+  expect_cells_match_standalone_runs("horizon=600000,max_cycles=3000", /*shared=*/false);
+}
+
+// A group's streams hold at most thread_count x (warmup + horizon) records
+// plus what is in flight, so sharing stops where that would pass the budget.
+TEST(SharedStreamSweep, SharingStopsAtTheRecordBudget) {
+  SweepRequest req;
+  req.thread_count = 4;
+  req.base.warmup = 3'750;
+  req.base.horizon = 20'000;
+  EXPECT_TRUE(shares_streams(req));
+  req.base.warmup = 0;
+  req.base.horizon = kSharedStreamRecordBudget / 4;
+  EXPECT_TRUE(shares_streams(req));
+  req.base.horizon += 1;
+  EXPECT_FALSE(shares_streams(req));
+  req.base.warmup = 15'000;  // the figure benches' default
+  req.base.horizon = 80'000;
+  EXPECT_TRUE(shares_streams(req));
+  req.base.horizon = 100'000'000;  // the paper's runs
+  EXPECT_FALSE(shares_streams(req));
+  req.base.warmup = ~std::uint64_t{0};  // no overflow
+  req.base.horizon = ~std::uint64_t{0};
+  EXPECT_FALSE(shares_streams(req));
 }
 
 }  // namespace

@@ -87,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
                       core::SchedulerKind::kTwoOpBlockOoo,
                       core::SchedulerKind::kTwoOpBlockOooFiltered,
                       core::SchedulerKind::kTagElimination),
-    [](const ::testing::TestParamInfo<core::SchedulerKind>& info) {
-      return std::string(core::scheduler_kind_name(info.param));
+    [](const ::testing::TestParamInfo<core::SchedulerKind>& param_info) {
+      return std::string(core::scheduler_kind_name(param_info.param));
     });
 
 TEST(Pipeline, WatchdogModeRunsAndRecovers) {
@@ -234,8 +234,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PipelineFetchPolicies,
     ::testing::Values(FetchPolicy::kIcount, FetchPolicy::kRoundRobin,
                       FetchPolicy::kStall, FetchPolicy::kFlush),
-    [](const ::testing::TestParamInfo<FetchPolicy>& info) {
-      return std::string(fetch_policy_name(info.param));
+    [](const ::testing::TestParamInfo<FetchPolicy>& param_info) {
+      return std::string(fetch_policy_name(param_info.param));
     });
 
 TEST(PipelineFetch, StallGatesMemoryBoundThreads) {

@@ -495,8 +495,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SchedulerKind::kTraditional, SchedulerKind::kTwoOpBlock,
                       SchedulerKind::kTwoOpBlockOoo,
                       SchedulerKind::kTwoOpBlockOooFiltered),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-      return std::string(scheduler_kind_name(info.param));
+    [](const ::testing::TestParamInfo<SchedulerKind>& param_info) {
+      return std::string(scheduler_kind_name(param_info.param));
     });
 
 TEST(SchedulerNames, AllNamed) {

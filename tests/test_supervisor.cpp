@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -316,6 +317,28 @@ TEST(SweepSupervisor, CompletedCellsAreNeverRerun) {
     EXPECT_TRUE(report.outcomes.count(i)) << "cell " << i;
   }
   EXPECT_EQ(report.outcomes.count(0), 0u);
+}
+
+TEST(SweepSupervisor, WorkersRunTheirShardInTheGivenOrder) {
+  // Each cell reports how many cells its worker ran before it, counted in
+  // that worker's own copy of the cell function.
+  auto config = base_config(8, 2);
+  config.order = {7, 2, 5, 0, 3, 6, 1, 4};
+  robust::SweepSupervisor supervisor(std::move(config));
+  const auto report = supervisor.run([ran = std::uint8_t{0}](std::size_t) mutable {
+    robust::CellOutcome out;
+    out.payload = {ran++};
+    return out;
+  });
+  // Worker 0 owns the even cells and worker 1 the odd ones, whatever the
+  // order; each runs its own in that order.
+  const std::map<std::size_t, std::uint8_t> position = {
+      {2, 0}, {0, 1}, {6, 2}, {4, 3}, {7, 0}, {5, 1}, {3, 2}, {1, 3}};
+  EXPECT_TRUE(report.process_failures.empty());
+  ASSERT_EQ(report.outcomes.size(), 8u);
+  for (const auto& [i, outcome] : report.outcomes) {
+    EXPECT_EQ(outcome.payload, std::vector<std::uint8_t>{position.at(i)}) << "cell " << i;
+  }
 }
 
 TEST(SweepSupervisor, InWorkerFailuresAreOutcomesNotProcessFailures) {
