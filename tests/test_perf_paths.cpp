@@ -15,11 +15,14 @@
 //      changed machine behavior and violated the bit-identity contract.
 //   5. The same pins for the paths layer 4 misses (FLUSH squash, wrong
 //      path, watchdog replay, filtered dispatch, one thread), plus the
-//      hash of a mid-run checkpoint's bytes.
+//      hashes of a mid-run checkpoint, two stats JSON documents and a
+//      diagnostic bundle.
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,8 +30,13 @@
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/issue_queue.hpp"
+#include "robust/diagnostic.hpp"
+#include "robust/fault.hpp"
+#include "sim/report.hpp"
+#include "sim/run.hpp"
 #include "smt/broadcast_schedule.hpp"
 #include "smt/pipeline.hpp"
 #include "trace/profile.hpp"
@@ -774,6 +782,68 @@ TEST(GoldenPathIdentity, MidRunCheckpointBytes) {
   pipe.save_state(ar);
   EXPECT_EQ(ar.bytes().size(), 259402u);
   EXPECT_EQ(fnv1a(ar.bytes()), 5491938419190627471ULL);
+}
+
+// The metric snapshot reaches users as bytes: --stats-json, served results
+// and diagnostic bundles.  These pins cover every metric family with
+// nonzero values: intervals and phases, FLUSH and wrong-path counters, and
+// the fault counters of a resilience plan.
+void expect_bytes(const std::string& doc, std::size_t size, std::uint64_t hash) {
+  Fnv1a h;
+  h.bytes(doc);
+  EXPECT_EQ(doc.size(), size);
+  EXPECT_EQ(h.h, hash);
+}
+
+std::string run_json(const sim::RunConfig& cfg) {
+  std::ostringstream os;
+  sim::write_run_json(os, cfg, sim::run_simulation(cfg));
+  return os.str();
+}
+
+TEST(GoldenPathIdentity, StatsJsonBytes) {
+  sim::RunConfig cfg;
+  cfg.benchmarks = {"gzip", "equake", "gcc", "mesa"};
+  cfg.kind = SchedulerKind::kTwoOpBlockOoo;
+  cfg.iq_entries = 32;
+  cfg.interval_cycles = 500;
+  cfg.fetch_policy = smt::FetchPolicy::kFlush;
+  cfg.model_wrong_path = true;
+  cfg.warmup = 2'000;
+  cfg.horizon = 20'000;
+  expect_bytes(run_json(cfg), 16679u, 8864673099394167091ULL);
+}
+
+TEST(GoldenPathIdentity, FaultedStatsJsonBytes) {
+  const robust::FaultInjector injector(robust::FaultPlan::random(1, 0, 0.5));
+  sim::RunConfig cfg;
+  cfg.benchmarks = {"gzip", "equake"};
+  cfg.kind = SchedulerKind::kTwoOpBlockOoo;
+  cfg.faults = &injector;
+  cfg.verify = true;
+  cfg.warmup = 2'000;
+  cfg.horizon = 20'000;
+  expect_bytes(run_json(cfg), 12625u, 4091873371719723487ULL);
+}
+
+TEST(GoldenPathIdentity, HangBundleBytes) {
+  robust::FaultPlan plan;
+  plan.commit_block_from = 0;
+  const robust::FaultInjector injector(plan);
+  sim::RunConfig cfg;
+  cfg.benchmarks = {"gzip", "equake"};
+  cfg.kind = SchedulerKind::kTwoOpBlockOoo;
+  cfg.watchdog_timeout = 200;
+  cfg.warmup = 1000;
+  cfg.horizon = 6000;
+  cfg.faults = &injector;
+  cfg.hang_cycles = 2000;
+  try {
+    (void)sim::run_simulation(cfg);
+    FAIL() << "commit blockade went undetected";
+  } catch (const robust::SimulationAborted& e) {
+    expect_bytes(e.bundle(), 13819u, 3419318064645960155ULL);
+  }
 }
 
 }  // namespace
