@@ -60,22 +60,17 @@ BranchPredictor::Prediction BranchPredictor::predict_only(ThreadId tid, Addr pc)
   return out;
 }
 
-void BranchPredictor::register_stats(obs::StatRegistry& registry,
+void BranchPredictor::append_metrics(std::vector<obs::MetricSnapshot>& out,
                                      const std::string& prefix) const {
-  const BranchPredictor* self = this;
-  registry.counter(prefix + "branches",
-                   [self] { return self->total_stats().branches; });
-  registry.counter(prefix + "mispredicts",
-                   [self] { return self->total_stats().mispredicts; });
-  registry.ratio(prefix + "mispredict_rate",
-                 [self] { return self->total_stats().mispredicts; },
-                 [self] { return self->total_stats().branches; });
+  const PredictorStats total = total_stats();
+  obs::append_counter(out, prefix + "branches", total.branches);
+  obs::append_counter(out, prefix + "mispredicts", total.mispredicts);
+  obs::append_ratio(out, prefix + "mispredict_rate", total.mispredicts, total.branches);
   for (std::size_t t = 0; t < stats_.size(); ++t) {
-    const PredictorStats* s = &stats_[t];
     const std::string p = prefix + "thread." + std::to_string(t) + ".";
-    registry.counter(p + "branches", [s] { return s->branches; });
-    registry.ratio(p + "mispredict_rate", [s] { return s->mispredicts; },
-                   [s] { return s->branches; });
+    obs::append_counter(out, p + "branches", stats_[t].branches);
+    obs::append_ratio(out, p + "mispredict_rate", stats_[t].mispredicts,
+                      stats_[t].branches);
   }
 }
 

@@ -77,9 +77,10 @@ class BranchPredictor {
   [[nodiscard]] const Btb& btb() const noexcept { return btb_; }
   [[nodiscard]] const Gshare& gshare(ThreadId tid) const { return gshare_.at(tid); }
 
-  /// Registers aggregate and per-thread metrics under `prefix` (e.g.
-  /// "bpred.").  The predictor must outlive the registry's snapshots.
-  void register_stats(obs::StatRegistry& registry, const std::string& prefix) const;
+  /// Appends aggregate and per-thread metrics to `out` under `prefix`
+  /// (e.g. "bpred.").
+  void append_metrics(std::vector<obs::MetricSnapshot>& out,
+                      const std::string& prefix) const;
 
   /// Checkpoint support: training state (counters, history, BTB entries,
   /// LRU ticks) and statistics both round-trip.

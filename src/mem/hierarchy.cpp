@@ -1,5 +1,7 @@
 #include "mem/hierarchy.hpp"
 
+#include <utility>
+
 #include "common/archive.hpp"
 
 namespace msim::mem {
@@ -34,25 +36,20 @@ HierarchyStats MemoryHierarchy::stats() const {
           .memory_accesses = memory_accesses_};
 }
 
-void MemoryHierarchy::register_stats(obs::StatRegistry& registry,
+void MemoryHierarchy::append_metrics(std::vector<obs::MetricSnapshot>& out,
                                      const std::string& prefix) const {
-  const auto level = [&registry, &prefix](const Cache& cache, std::string_view name) {
-    const CacheStats* s = &cache.stats();
-    const std::string p = prefix + std::string(name) + ".";
-    registry.counter(p + "accesses", [s] { return s->accesses; });
-    registry.counter(p + "misses", [s] { return s->misses; });
-    registry.ratio(p + "miss_rate", [s] { return s->misses; },
-                   [s] { return s->accesses; });
-    registry.counter(p + "coalesced_misses", [s] { return s->coalesced_misses; });
-    registry.counter(p + "mshr_stall_cycles", [s] { return s->mshr_stall_cycles; });
-    registry.counter(p + "dirty_evictions", [s] { return s->dirty_evictions; });
-  };
-  level(l1i_, "l1i");
-  level(l1d_, "l1d");
-  level(l2_, "l2");
-  const std::uint64_t* mem_accesses = &memory_accesses_;
-  registry.counter(prefix + "memory_accesses",
-                   [mem_accesses] { return *mem_accesses; });
+  for (const auto& [cache, name] : {std::pair{&l1i_, "l1i."}, std::pair{&l1d_, "l1d."},
+                                    std::pair{&l2_, "l2."}}) {
+    const CacheStats& s = cache->stats();
+    const std::string p = prefix + name;
+    obs::append_counter(out, p + "accesses", s.accesses);
+    obs::append_counter(out, p + "misses", s.misses);
+    obs::append_ratio(out, p + "miss_rate", s.misses, s.accesses);
+    obs::append_counter(out, p + "coalesced_misses", s.coalesced_misses);
+    obs::append_counter(out, p + "mshr_stall_cycles", s.mshr_stall_cycles);
+    obs::append_counter(out, p + "dirty_evictions", s.dirty_evictions);
+  }
+  obs::append_counter(out, prefix + "memory_accesses", memory_accesses_);
 }
 
 void MemoryHierarchy::state_io(persist::Archive& ar) {

@@ -64,9 +64,9 @@ class MemoryHierarchy {
   [[nodiscard]] HierarchyStats stats() const;
   [[nodiscard]] const HierarchyConfig& config() const noexcept { return config_; }
 
-  /// Registers per-level metrics under `prefix` (e.g. "mem.").  The
-  /// hierarchy must outlive the registry's snapshots.
-  void register_stats(obs::StatRegistry& registry, const std::string& prefix) const;
+  /// Appends per-level metrics to `out` under `prefix` (e.g. "mem.").
+  void append_metrics(std::vector<obs::MetricSnapshot>& out,
+                      const std::string& prefix) const;
 
   /// Zeroes counters; cache contents (tags) are preserved.
   void reset_stats() noexcept {

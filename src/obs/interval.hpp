@@ -3,9 +3,10 @@
 // The pipeline feeds IntervalEngine a CumulativeSample (running totals of
 // every tracked counter) at each interval boundary; the engine diffs it
 // against the previous boundary's sample, producing one IntervalRecord per
-// interval -- a time-series view of a run that the end-of-run StatRegistry
-// snapshot cannot provide.  Records land in a bounded ring (oldest evicted
-// first) and, when a sink is attached, stream out as they are captured.
+// interval -- a time-series view of a run that the end-of-run metric
+// snapshot (smt::Pipeline::metrics) cannot provide.  Records land in a
+// bounded ring (oldest evicted first) and, when a sink is attached, stream
+// out as they are captured.
 //
 // Each record also carries a per-thread *phase fingerprint*: an FNV-1a hash
 // of a quantized feature vector (IPC, fetch rate, stall attribution, memory
@@ -180,7 +181,7 @@ class IntervalEngine {
     return captured_total_;
   }
 
-  // Per-thread phase statistics (for the registry's closures).
+  // Per-thread phase statistics (the thread.N.phase.* metrics).
   [[nodiscard]] std::uint32_t phase_id(unsigned tid) const {
     return phases_.at(tid).current_id;
   }

@@ -1,18 +1,15 @@
-// Hierarchical named-metric registry: the simulator's single source of
-// machine-readable statistics.
+// Named metrics: the simulator's single source of machine-readable
+// statistics.
 //
-// Components register their metrics once at construction under a dotted
-// hierarchical name ("scheduler.dispatch.dab_inserts", "mem.l1d.miss_rate",
-// "thread.0.stall.ndi_blocked_cycles").  Counters, gauges and ratios are
-// registered as closures over the component's existing counters, so the
-// per-cycle hot paths keep their plain increments; the registry reads them
-// lazily at snapshot time.  Per-cycle *sampled* gauges (structure occupancy)
-// are StreamingStats owned by the registry and fed by the pipeline's tick.
+// A snapshot is built when one is asked for: each component appends its
+// metrics under a dotted hierarchical name ("scheduler.dispatch.dab_inserts",
+// "mem.l1d.miss_rate", "thread.0.stall.ndi_blocked_cycles"), read straight
+// from the counters its per-cycle hot paths increment.  Per-cycle *sampled*
+// gauges (structure occupancy) are StreamingStats the pipeline feeds each
+// tick.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <ostream>
 #include <span>
 #include <string>
@@ -21,10 +18,6 @@
 
 #include "common/json.hpp"
 #include "common/stats.hpp"
-
-namespace msim::persist {
-class Archive;
-}
 
 namespace msim::obs {
 
@@ -38,7 +31,7 @@ enum class MetricKind : std::uint8_t {
 
 [[nodiscard]] std::string_view metric_kind_name(MetricKind kind) noexcept;
 
-/// One metric read out of the registry.
+/// One metric of a snapshot.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -57,60 +50,21 @@ struct MetricSnapshot {
   double p99 = 0.0;
 };
 
-class StatRegistry {
- public:
-  using CounterFn = std::function<std::uint64_t()>;
-  using GaugeFn = std::function<double()>;
+// Each appends one metric named `name` to `out`.
+void append_counter(std::vector<MetricSnapshot>& out, std::string name,
+                    std::uint64_t value);
+void append_gauge(std::vector<MetricSnapshot>& out, std::string name, double value);
+/// The value is events / opportunities, or 0 without opportunities.
+void append_ratio(std::vector<MetricSnapshot>& out, std::string name,
+                  std::uint64_t events, std::uint64_t opportunities);
+void append_sampled(std::vector<MetricSnapshot>& out, std::string name,
+                    const StreamingStat& stat);
+void append_histogram(std::vector<MetricSnapshot>& out, std::string name,
+                      const Histogram& hist);
 
-  StatRegistry() = default;
-  StatRegistry(const StatRegistry&) = delete;
-  StatRegistry& operator=(const StatRegistry&) = delete;
-
-  /// Each name may be registered exactly once (MSIM_CHECK on duplicates).
-  void counter(std::string name, CounterFn read);
-  void gauge(std::string name, GaugeFn read);
-  void ratio(std::string name, CounterFn events, CounterFn opportunities);
-  /// The histogram must outlive the registry's snapshots.
-  void histogram(std::string name, const Histogram* hist);
-  /// Registers and returns a registry-owned per-cycle sampled gauge.  The
-  /// returned reference is stable for the registry's lifetime.
-  StreamingStat& sampled(std::string name);
-
-  /// Zeroes every registry-owned sampled gauge (post-warm-up reset); the
-  /// callback-backed metrics reset with their owning components.
-  void reset_sampled() noexcept;
-
-  [[nodiscard]] std::size_t size() const noexcept { return metrics_.size(); }
-
-  /// Reads every metric, sorted by name.
-  [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
-
-  /// Snapshot of the single named metric; throws std::invalid_argument when
-  /// the name is not registered.
-  [[nodiscard]] MetricSnapshot read(std::string_view name) const;
-
-  /// Checkpoint support for the registry-owned sampled gauges (the
-  /// callback-backed metrics persist with their owning components).  Gauges
-  /// are streamed tagged by name in registration order; a load verifies
-  /// both, so metric renames or reorderings fail loudly.
-  void sampled_io(persist::Archive& ar);
-
- private:
-  struct Metric {
-    std::string name;
-    MetricKind kind;
-    CounterFn read_counter;          // kCounter / kRatio events
-    CounterFn read_opportunities;    // kRatio
-    GaugeFn read_gauge;              // kGauge
-    const Histogram* hist = nullptr; // kHistogram
-    std::unique_ptr<StreamingStat> owned;  // kSampled
-  };
-
-  void add(Metric m);
-  [[nodiscard]] MetricSnapshot snapshot_of(const Metric& m) const;
-
-  std::vector<Metric> metrics_;
-};
+/// Sorts a snapshot by name.  Every name must be non-empty and appear once
+/// (MSIM_CHECK).
+void sort_metrics(std::vector<MetricSnapshot>& metrics);
 
 /// Emits a snapshot as a JSON object:
 ///   {"metric_count": N, "metrics": {"name": {"kind": ..., "value": ...}}}

@@ -61,8 +61,8 @@ std::string diagnostic_bundle(const smt::Pipeline& pipe, const std::string& reas
   w.end_array();
   w.end_object();
 
-  // Full metric registry (counters, stall attribution, fault counters...).
-  const std::vector<obs::MetricSnapshot> metrics = pipe.registry().snapshot();
+  // Every metric (counters, stall attribution, fault counters...).
+  const std::vector<obs::MetricSnapshot> metrics = pipe.metrics();
   w.key("stats");
   w.begin_object();
   obs::write_metrics_fields(w, metrics);

@@ -314,7 +314,7 @@ RunResult run_simulation(const RunConfig& config, trace::StreamSet* streams) {
   out.memory = pipe.memory().stats();
   out.bpred = pipe.predictor().total_stats();
   out.pipeline = pipe.stats();
-  out.metrics = pipe.registry().snapshot();
+  out.metrics = pipe.metrics();
   if (pipe.tracer().enabled()) {
     out.trace = pipe.tracer().events();
     out.trace_dropped = pipe.tracer().dropped();

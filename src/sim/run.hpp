@@ -142,7 +142,7 @@ struct RunResult {
   /// must reproduce the straight run's digest exactly.
   std::uint64_t commit_digest = 0;
 
-  /// Full registry snapshot, sorted by metric name (see obs::StatRegistry).
+  /// Every metric, sorted by name (see smt::Pipeline::metrics).
   std::vector<obs::MetricSnapshot> metrics;
   /// Lifecycle trace, oldest event first (empty unless trace_capacity > 0).
   std::vector<obs::TraceEvent> trace;

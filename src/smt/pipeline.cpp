@@ -183,7 +183,6 @@ Pipeline::Pipeline(const MachineConfig& config,
     tracer_.enable(config_.trace_capacity);
     scheduler_->set_tracer(&tracer_);
   }
-  register_metrics();
   interval_.configure({config_.interval_cycles, config_.interval_ring_capacity},
                       config_.thread_count);
 }
@@ -691,7 +690,7 @@ void Pipeline::reset_stats() {
     ts->lsq.reset_stats();
   }
   for (ThreadStallStats& s : stall_stats_) s = {};
-  registry_.reset_sampled();
+  for_each_occupancy(*this, [](const std::string&, StreamingStat& gauge) { gauge = {}; });
   scheduler_->reset_stats();
   mem_.reset_stats();
   bpred_.reset_stats();
@@ -745,105 +744,94 @@ std::uint32_t Pipeline::replay_depth(ThreadId tid) const {
 
 // ---- observability ----------------------------------------------------------
 
-void Pipeline::register_metrics() {
-  scheduler_->register_stats(registry_, "scheduler.");
-  mem_.register_stats(registry_, "mem.");
-  bpred_.register_stats(registry_, "bpred.");
+template <typename Self, typename Fn>
+void Pipeline::for_each_occupancy(Self& self, Fn&& fn) {
+  for (ThreadId t = 0; t < self.config_.thread_count; ++t) {
+    ThreadState& ts = *self.threads_[t];
+    fn("occupancy.rob." + std::to_string(t), ts.occ_rob);
+    fn("occupancy.lsq." + std::to_string(t), ts.occ_lsq);
+    fn("occupancy.rename_buffer." + std::to_string(t), ts.occ_rename_buffer);
+  }
+  fn("occupancy.iq", self.occ_iq_);
+  fn("occupancy.dab", self.occ_dab_);
+}
 
-  const Pipeline* self = this;
-  registry_.counter("pipeline.cycles", [self] { return self->cycles(); });
-  registry_.counter("pipeline.committed", [self] { return self->total_committed(); });
-  registry_.gauge("pipeline.total_ipc", [self] { return self->total_ipc(); });
+std::vector<obs::MetricSnapshot> Pipeline::metrics() const {
+  std::vector<obs::MetricSnapshot> out;
+  scheduler_->append_metrics(out, "scheduler.");
+  mem_.append_metrics(out, "mem.");
+  bpred_.append_metrics(out, "bpred.");
 
-  const PipelineStats* p = &pstats_;
-  registry_.counter("pipeline.issued", [p] { return p->issued; });
-  registry_.counter("pipeline.load_issue_blocked",
-                    [p] { return p->load_issue_blocked; });
-  registry_.counter("pipeline.fetch_icache_stall_cycles",
-                    [p] { return p->fetch_icache_stall_cycles; });
-  registry_.counter("pipeline.watchdog_flushed_instructions",
-                    [p] { return p->watchdog_flushed_instructions; });
-  registry_.counter("pipeline.fetch_l2_gated", [p] { return p->fetch_l2_gated; });
-  registry_.counter("pipeline.policy_flushes", [p] { return p->policy_flushes; });
-  registry_.counter("pipeline.policy_flushed_instructions",
-                    [p] { return p->policy_flushed_instructions; });
-  registry_.counter("pipeline.wrong_path_fetched",
-                    [p] { return p->wrong_path_fetched; });
-  registry_.counter("pipeline.wrong_path_issued",
-                    [p] { return p->wrong_path_issued; });
-  registry_.counter("pipeline.wrong_path_squashes",
-                    [p] { return p->wrong_path_squashes; });
-  registry_.counter("pipeline.fault.commit_blocked_cycles",
-                    [p] { return p->fault_commit_blocked_cycles; });
-  registry_.counter("pipeline.fault.rob_denials", [p] { return p->fault_rob_denials; });
-  registry_.counter("pipeline.fault.lsq_denials", [p] { return p->fault_lsq_denials; });
-  registry_.counter("pipeline.fault.extra_latency_cycles",
-                    [p] { return p->fault_extra_latency_cycles; });
+  obs::append_counter(out, "pipeline.cycles", cycles());
+  obs::append_counter(out, "pipeline.committed", total_committed());
+  obs::append_gauge(out, "pipeline.total_ipc", total_ipc());
+  const PipelineStats& p = pstats_;
+  obs::append_counter(out, "pipeline.issued", p.issued);
+  obs::append_counter(out, "pipeline.load_issue_blocked", p.load_issue_blocked);
+  obs::append_counter(out, "pipeline.fetch_icache_stall_cycles",
+                      p.fetch_icache_stall_cycles);
+  obs::append_counter(out, "pipeline.watchdog_flushed_instructions",
+                      p.watchdog_flushed_instructions);
+  obs::append_counter(out, "pipeline.fetch_l2_gated", p.fetch_l2_gated);
+  obs::append_counter(out, "pipeline.policy_flushes", p.policy_flushes);
+  obs::append_counter(out, "pipeline.policy_flushed_instructions",
+                      p.policy_flushed_instructions);
+  obs::append_counter(out, "pipeline.wrong_path_fetched", p.wrong_path_fetched);
+  obs::append_counter(out, "pipeline.wrong_path_issued", p.wrong_path_issued);
+  obs::append_counter(out, "pipeline.wrong_path_squashes", p.wrong_path_squashes);
+  obs::append_counter(out, "pipeline.fault.commit_blocked_cycles",
+                      p.fault_commit_blocked_cycles);
+  obs::append_counter(out, "pipeline.fault.rob_denials", p.fault_rob_denials);
+  obs::append_counter(out, "pipeline.fault.lsq_denials", p.fault_lsq_denials);
+  obs::append_counter(out, "pipeline.fault.extra_latency_cycles",
+                      p.fault_extra_latency_cycles);
 
-  const FuStats* fu = &fu_.stats();
+  const FuStats& fu = fu_.stats();
   for (unsigned k = 0; k < isa::kFuKindCount; ++k) {
     const std::string fp =
         "fu." + std::string(isa::fu_kind_name(static_cast<isa::FuKind>(k))) + ".";
-    registry_.counter(fp + "issues", [fu, k] { return fu->issues[k]; });
-    registry_.counter(fp + "structural_rejects",
-                      [fu, k] { return fu->structural_rejects[k]; });
+    obs::append_counter(out, fp + "issues", fu.issues[k]);
+    obs::append_counter(out, fp + "structural_rejects", fu.structural_rejects[k]);
   }
 
   for (ThreadId t = 0; t < config_.thread_count; ++t) {
     const std::string tp = "thread." + std::to_string(t) + ".";
-    const ThreadState* ts = threads_[t].get();
-    registry_.counter(tp + "committed",
-                      [ts] { return ts->committed - ts->committed_base; });
-    registry_.counter(tp + "fetched",
-                      [ts] { return ts->fetched - ts->fetched_base; });
-    registry_.gauge(tp + "ipc", [self, t] { return self->ipc(t); });
-    const LsqStats* lsq = &ts->lsq.stats();
-    registry_.counter(tp + "lsq.loads_checked",
-                      [lsq] { return lsq->loads_checked; });
-    registry_.counter(tp + "lsq.forwards", [lsq] { return lsq->forwards; });
-    registry_.counter(tp + "lsq.blocked_checks",
-                      [lsq] { return lsq->blocked_checks; });
-    const ThreadStallStats* ss = &stall_stats_[t];
-    registry_.counter(tp + "stall.ndi_blocked_cycles",
-                      [ss] { return ss->ndi_blocked_cycles; });
-    registry_.counter(tp + "stall.iq_full_cycles",
-                      [ss] { return ss->iq_full_cycles; });
-    registry_.counter(tp + "stall.rob_full_cycles",
-                      [ss] { return ss->rob_full_cycles; });
-    registry_.counter(tp + "stall.lsq_full_cycles",
-                      [ss] { return ss->lsq_full_cycles; });
-    registry_.counter(tp + "stall.fetch_starved_cycles",
-                      [ss] { return ss->fetch_starved_cycles; });
-
-    occ_rob_.push_back(&registry_.sampled("occupancy.rob." + std::to_string(t)));
-    occ_lsq_.push_back(&registry_.sampled("occupancy.lsq." + std::to_string(t)));
-    occ_rename_buffer_.push_back(
-        &registry_.sampled("occupancy.rename_buffer." + std::to_string(t)));
+    const ThreadState& ts = *threads_[t];
+    obs::append_counter(out, tp + "committed", committed(t));
+    obs::append_counter(out, tp + "fetched", ts.fetched - ts.fetched_base);
+    obs::append_gauge(out, tp + "ipc", ipc(t));
+    const LsqStats& lsq = ts.lsq.stats();
+    obs::append_counter(out, tp + "lsq.loads_checked", lsq.loads_checked);
+    obs::append_counter(out, tp + "lsq.forwards", lsq.forwards);
+    obs::append_counter(out, tp + "lsq.blocked_checks", lsq.blocked_checks);
+    const ThreadStallStats& ss = stall_stats_[t];
+    obs::append_counter(out, tp + "stall.ndi_blocked_cycles", ss.ndi_blocked_cycles);
+    obs::append_counter(out, tp + "stall.iq_full_cycles", ss.iq_full_cycles);
+    obs::append_counter(out, tp + "stall.rob_full_cycles", ss.rob_full_cycles);
+    obs::append_counter(out, tp + "stall.lsq_full_cycles", ss.lsq_full_cycles);
+    obs::append_counter(out, tp + "stall.fetch_starved_cycles", ss.fetch_starved_cycles);
+    // Interval telemetry (all zero while intervals are disabled).
+    obs::append_gauge(out, tp + "phase.id", static_cast<double>(interval_.phase_id(t)));
+    obs::append_counter(out, tp + "phase.changes", interval_.phase_changes(t));
+    obs::append_counter(out, tp + "phase.unique", interval_.unique_phases(t));
   }
-  occ_iq_ = &registry_.sampled("occupancy.iq");
-  occ_dab_ = &registry_.sampled("occupancy.dab");
-
-  // Interval telemetry (all zero while intervals are disabled).
-  const obs::IntervalEngine* iv = &interval_;
-  registry_.counter("interval.captured", [iv] { return iv->captured(); });
-  registry_.counter("interval.dropped", [iv] { return iv->dropped(); });
-  for (ThreadId t = 0; t < config_.thread_count; ++t) {
-    const std::string tp = "thread." + std::to_string(t) + ".phase.";
-    registry_.gauge(tp + "id",
-                    [iv, t] { return static_cast<double>(iv->phase_id(t)); });
-    registry_.counter(tp + "changes", [iv, t] { return iv->phase_changes(t); });
-    registry_.counter(tp + "unique", [iv, t] { return iv->unique_phases(t); });
-  }
+  for_each_occupancy(*this, [&out](std::string name, const StreamingStat& gauge) {
+    obs::append_sampled(out, std::move(name), gauge);
+  });
+  obs::append_counter(out, "interval.captured", interval_.captured());
+  obs::append_counter(out, "interval.dropped", interval_.dropped());
+  obs::sort_metrics(out);
+  return out;
 }
 
 void Pipeline::sample_observability() {
-  occ_iq_->add(static_cast<double>(scheduler_->iq().size()));
-  occ_dab_->add(static_cast<double>(scheduler_->dab_occupancy()));
+  occ_iq_.add(static_cast<double>(scheduler_->iq().size()));
+  occ_dab_.add(static_cast<double>(scheduler_->dab_occupancy()));
   for (ThreadId t = 0; t < config_.thread_count; ++t) {
-    const ThreadState& ts = *threads_[t];
-    occ_rob_[t]->add(static_cast<double>(ts.rob.size()));
-    occ_lsq_[t]->add(static_cast<double>(ts.lsq.size()));
-    occ_rename_buffer_[t]->add(static_cast<double>(scheduler_->buffer_size(t)));
+    ThreadState& ts = *threads_[t];
+    ts.occ_rob.add(static_cast<double>(ts.rob.size()));
+    ts.occ_lsq.add(static_cast<double>(ts.lsq.size()));
+    ts.occ_rename_buffer.add(static_cast<double>(scheduler_->buffer_size(t)));
 
     ThreadStallStats& ss = stall_stats_[t];
     switch (scheduler_->block_reason(t)) {
@@ -875,10 +863,10 @@ obs::CumulativeSample Pipeline::make_cumulative_sample() const {
   cum.cycle = cycle_;
   cum.dispatched = scheduler_->dispatch_stats().dispatched;
   cum.issued = pstats_.issued;
-  cum.iq_occ_sum = occ_iq_->sum();
-  cum.iq_occ_count = occ_iq_->count();
-  cum.dab_occ_sum = occ_dab_->sum();
-  cum.dab_occ_count = occ_dab_->count();
+  cum.iq_occ_sum = occ_iq_.sum();
+  cum.iq_occ_count = occ_iq_.count();
+  cum.dab_occ_sum = occ_dab_.sum();
+  cum.dab_occ_count = occ_dab_.count();
   const mem::HierarchyStats mem = mem_.stats();
   cum.l1d_misses = mem.l1d.misses;
   cum.l2_misses = mem.l2.misses;
@@ -901,10 +889,10 @@ obs::CumulativeSample Pipeline::make_cumulative_sample() const {
     out.rob_full_cycles = ss.rob_full_cycles;
     out.lsq_full_cycles = ss.lsq_full_cycles;
     out.fetch_starved_cycles = ss.fetch_starved_cycles;
-    out.rob_occ_sum = occ_rob_[t]->sum();
-    out.rob_occ_count = occ_rob_[t]->count();
-    out.lsq_occ_sum = occ_lsq_[t]->sum();
-    out.lsq_occ_count = occ_lsq_[t]->count();
+    out.rob_occ_sum = ts.occ_rob.sum();
+    out.rob_occ_count = ts.occ_rob.count();
+    out.lsq_occ_sum = ts.occ_lsq.sum();
+    out.lsq_occ_count = ts.occ_lsq.count();
     out.loads = ts.lsq.stats().loads_checked;
   }
   return cum;
@@ -994,8 +982,32 @@ void Pipeline::state_io(persist::Archive& ar) {
     a.io(s.fetch_starved_cycles);
   });
   tracer_.state_io(ar);
-  registry_.sampled_io(ar);
+  occupancy_io(ar);
   interval_.state_io(ar);
+}
+
+void Pipeline::occupancy_io(persist::Archive& ar) {
+  ar.section("stat-registry");
+  const std::uint64_t expected = 3 * std::uint64_t{config_.thread_count} + 2;
+  std::uint64_t count = expected;
+  ar.io(count);
+  if (!ar.saving() && count != expected) {
+    throw persist::PersistError("checkpoint: sampled-gauge count mismatch (" +
+                                std::to_string(count) + " in stream, " +
+                                std::to_string(expected) + " expected)");
+  }
+  // Gauges are streamed tagged by name in a fixed order; a load verifies
+  // both, so metric renames or reorderings fail loudly.
+  for_each_occupancy(*this, [&ar](const std::string& name, StreamingStat& gauge) {
+    std::string stored = name;
+    ar.io(stored);
+    if (!ar.saving() && stored != name) {
+      throw persist::PersistError("checkpoint: sampled gauge '" + name +
+                                  "' does not match stream entry '" + stored +
+                                  "' (metric renamed or reordered)");
+    }
+    gauge.state_io(ar);
+  });
 }
 
 void Pipeline::save_state(persist::Archive& ar) const {

@@ -248,10 +248,10 @@ class Pipeline {
   /// Correct-path instructions queued for refetch after a flush.
   [[nodiscard]] std::uint32_t replay_depth(ThreadId tid) const;
 
-  /// Every metric of every component, registered at construction under
-  /// hierarchical names ("scheduler.", "mem.", "bpred.", "pipeline.",
-  /// "thread.N.", "occupancy.", "fu.").
-  [[nodiscard]] const obs::StatRegistry& registry() const noexcept { return registry_; }
+  /// Every metric of every component, read now under hierarchical names
+  /// ("scheduler.", "mem.", "bpred.", "pipeline.", "thread.N.",
+  /// "occupancy.", "fu.", "interval.") and sorted by name.
+  [[nodiscard]] std::vector<obs::MetricSnapshot> metrics() const;
 
   /// Per-instruction lifecycle tracer; enabled via
   /// MachineConfig::trace_capacity (off by default).
@@ -314,6 +314,10 @@ class Pipeline {
     std::uint64_t committed_base = 0;      ///< value at last reset_stats
     std::uint64_t fetched = 0;
     std::uint64_t fetched_base = 0;        ///< value at last reset_stats
+    // Per-cycle occupancy gauges ("occupancy.{rob,lsq,rename_buffer}.N").
+    StreamingStat occ_rob;
+    StreamingStat occ_lsq;
+    StreamingStat occ_rename_buffer;
   };
 
   class DispatchEnvImpl;
@@ -337,8 +341,11 @@ class Pipeline {
   void apply_wrong_path_squashes(Cycle now);
   unsigned fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now);
   [[nodiscard]] std::uint32_t icount(ThreadId tid) const;
-  /// Registers every component's metrics into `registry_` (constructor).
-  void register_metrics();
+  /// Calls fn(name, gauge) for every occupancy gauge, in checkpoint order.
+  template <typename Self, typename Fn>
+  static void for_each_occupancy(Self& self, Fn&& fn);
+  /// The occupancy gauges, tagged by name (checkpoint "stat-registry").
+  void occupancy_io(persist::Archive& ar);
   /// Per-cycle observability: occupancy gauges + stall attribution.
   void sample_observability();
   /// Snapshot of every cumulative counter the interval engine diffs
@@ -378,18 +385,14 @@ class Pipeline {
   const core::FaultHooks* faults_ = nullptr;   ///< not owned; nullptr = fault-free
   std::vector<ThreadStallStats> stall_stats_;  ///< one per thread
 
-  // Observability.  The registry holds closures over other members and the
-  // scheduler holds a pointer into tracer_; the pipeline is non-copyable,
-  // so both stay valid for its lifetime.
+  // Observability.  The scheduler holds a pointer into tracer_; the
+  // pipeline is non-copyable, so it stays valid for its lifetime.
   obs::InstTracer tracer_;
-  obs::StatRegistry registry_;
   obs::IntervalEngine interval_;
-  // Registry-owned per-cycle sampled gauges (reset via reset_sampled()).
-  StreamingStat* occ_iq_ = nullptr;
-  StreamingStat* occ_dab_ = nullptr;
-  std::vector<StreamingStat*> occ_rob_;      ///< per thread
-  std::vector<StreamingStat*> occ_lsq_;      ///< per thread
-  std::vector<StreamingStat*> occ_rename_buffer_;  ///< per thread
+  // Per-cycle occupancy gauges ("occupancy.iq", "occupancy.dab"); the
+  // per-thread ones live in ThreadState.
+  StreamingStat occ_iq_;
+  StreamingStat occ_dab_;
 };
 
 }  // namespace msim::smt

@@ -1,14 +1,15 @@
-// Tests for the observability layer: the stat registry, the lifecycle
+// Tests for the observability layer: metric snapshots, the lifecycle
 // tracer and its exporters, the self-profiling timers, and their
 // integration with the full pipeline (machine-readable run reports,
 // DAB-rescue reconstruction, warm-up reset coverage).
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/json.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
@@ -25,97 +26,80 @@ using obs::InstLifecycle;
 using obs::InstTracer;
 using obs::MetricKind;
 using obs::MetricSnapshot;
-using obs::StatRegistry;
 using obs::TraceEvent;
 using obs::TraceStage;
 
-// ---- StatRegistry ---------------------------------------------------------
+// ---- metric snapshots (the stat registry) ----------------------------------
 
-TEST(StatRegistry, CounterGaugeRatioReadLazily) {
-  StatRegistry reg;
-  std::uint64_t hits = 0;
-  std::uint64_t tries = 0;
-  double level = 0.0;
-  reg.counter("x.hits", [&] { return hits; });
-  reg.gauge("x.level", [&] { return level; });
-  reg.ratio("x.hit_rate", [&] { return hits; }, [&] { return tries; });
-  EXPECT_EQ(reg.size(), 3u);
+TEST(StatRegistry, AppendHelpersFillEachKindsFields) {
+  std::vector<MetricSnapshot> snap;
+  obs::append_counter(snap, "x.hits", 3);
+  obs::append_gauge(snap, "x.level", 2.5);
+  obs::append_ratio(snap, "x.hit_rate", 3, 4);
+  // A ratio without opportunities reads as 0, not NaN.
+  obs::append_ratio(snap, "x.idle_rate", 0, 0);
+  StreamingStat occ;
+  occ.add(2.0);
+  occ.add(4.0);
+  obs::append_sampled(snap, "x.occ", occ);
+  ASSERT_EQ(snap.size(), 5u);
 
-  // Ratio with zero opportunities reads as 0, not NaN.
-  EXPECT_DOUBLE_EQ(reg.read("x.hit_rate").value, 0.0);
-
-  hits = 3;
-  tries = 4;
-  level = 2.5;
-  const MetricSnapshot rate = reg.read("x.hit_rate");
-  EXPECT_EQ(rate.kind, MetricKind::kRatio);
-  EXPECT_EQ(rate.events, 3u);
-  EXPECT_EQ(rate.opportunities, 4u);
-  EXPECT_DOUBLE_EQ(rate.value, 0.75);
-  EXPECT_DOUBLE_EQ(reg.read("x.hits").value, 3.0);
-  EXPECT_DOUBLE_EQ(reg.read("x.level").value, 2.5);
+  EXPECT_EQ(snap[0].kind, MetricKind::kCounter);
+  EXPECT_DOUBLE_EQ(snap[0].value, 3.0);
+  EXPECT_EQ(snap[0].count, 3u);
+  EXPECT_EQ(snap[1].kind, MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(snap[1].value, 2.5);
+  EXPECT_EQ(snap[2].kind, MetricKind::kRatio);
+  EXPECT_EQ(snap[2].events, 3u);
+  EXPECT_EQ(snap[2].opportunities, 4u);
+  EXPECT_DOUBLE_EQ(snap[2].value, 0.75);
+  EXPECT_DOUBLE_EQ(snap[3].value, 0.0);
+  EXPECT_EQ(snap[4].kind, MetricKind::kSampled);
+  EXPECT_EQ(snap[4].count, 2u);
+  EXPECT_DOUBLE_EQ(snap[4].value, 3.0);
+  EXPECT_DOUBLE_EQ(snap[4].min, 2.0);
+  EXPECT_DOUBLE_EQ(snap[4].max, 4.0);
+  EXPECT_DOUBLE_EQ(snap[4].stddev, occ.stddev());
 }
 
 TEST(StatRegistry, SnapshotIsSortedByName) {
-  StatRegistry reg;
-  reg.counter("b", [] { return std::uint64_t{2}; });
-  reg.counter("a.z", [] { return std::uint64_t{1}; });
-  reg.counter("a.a", [] { return std::uint64_t{0}; });
-  const auto snap = reg.snapshot();
+  std::vector<MetricSnapshot> snap;
+  obs::append_counter(snap, "b", 2);
+  obs::append_counter(snap, "a.z", 1);
+  obs::append_counter(snap, "a.a", 0);
+  obs::sort_metrics(snap);
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "a.a");
   EXPECT_EQ(snap[1].name, "a.z");
   EXPECT_EQ(snap[2].name, "b");
-}
 
-TEST(StatRegistry, SampledGaugeResetsIndependently) {
-  StatRegistry reg;
-  std::uint64_t count = 7;
-  reg.counter("events", [&] { return count; });
-  StreamingStat& occ = reg.sampled("occ");
-  occ.add(2.0);
-  occ.add(4.0);
-
-  MetricSnapshot s = reg.read("occ");
-  EXPECT_EQ(s.kind, MetricKind::kSampled);
-  EXPECT_EQ(s.count, 2u);
-  EXPECT_DOUBLE_EQ(s.value, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-
-  reg.reset_sampled();
-  EXPECT_EQ(reg.read("occ").count, 0u);
-  // Callback-backed metrics are untouched by reset_sampled().
-  EXPECT_DOUBLE_EQ(reg.read("events").value, 7.0);
-  // The returned reference stays valid across the reset.
-  occ.add(9.0);
-  EXPECT_EQ(reg.read("occ").count, 1u);
+  // Each name appears once, and none is empty.
+  obs::append_gauge(snap, "a.z", 1.0);
+  EXPECT_THROW(obs::sort_metrics(snap), CheckError);
+  std::vector<MetricSnapshot> unnamed;
+  obs::append_counter(unnamed, "", 0);
+  EXPECT_THROW(obs::sort_metrics(unnamed), CheckError);
 }
 
 TEST(StatRegistry, HistogramSnapshotCarriesQuantiles) {
-  StatRegistry reg;
   Histogram h(10, 1.0);
   for (int i = 0; i < 9; ++i) h.add(0.5);
   h.add(8.5);
-  reg.histogram("lat", &h);
-  const MetricSnapshot s = reg.read("lat");
+  std::vector<MetricSnapshot> snap;
+  obs::append_histogram(snap, "lat", h);
+  ASSERT_EQ(snap.size(), 1u);
+  const MetricSnapshot& s = snap[0];
   EXPECT_EQ(s.kind, MetricKind::kHistogram);
   EXPECT_EQ(s.count, 10u);
   EXPECT_DOUBLE_EQ(s.p50, 1.0);
   EXPECT_DOUBLE_EQ(s.p99, 9.0);
 }
 
-TEST(StatRegistry, UnknownNameThrows) {
-  StatRegistry reg;
-  EXPECT_THROW((void)reg.read("missing"), std::invalid_argument);
-}
-
 TEST(StatRegistry, MetricsJsonParsesBack) {
-  StatRegistry reg;
-  std::uint64_t n = 5;
-  reg.counter("group.count", [&] { return n; });
-  reg.ratio("group.rate", [&] { return n; }, [] { return std::uint64_t{10}; });
-  const auto snap = reg.snapshot();
+  std::vector<MetricSnapshot> snap;
+  obs::append_counter(snap, "group.count", 5);
+  obs::append_ratio(snap, "group.rate", 5, 10);
+  obs::sort_metrics(snap);
   std::ostringstream os;
   obs::write_metrics_json(os, snap);
 
@@ -383,10 +367,16 @@ TEST(PipelineObservability, WarmupNeverLeaksIntoPostResetMetrics) {
   mc.interval_cycles = 500;  // interval telemetry is part of the contract
   smt::Pipeline pipe(mc, workload, 1);
 
+  const auto read = [&pipe](std::string_view name) {
+    for (const MetricSnapshot& m : pipe.metrics()) {
+      if (m.name == name) return m;
+    }
+    ADD_FAILURE() << "no metric named " << name;
+    return MetricSnapshot{};
+  };
   pipe.run(3'000);  // warm-up
-  const obs::StatRegistry& reg = pipe.registry();
-  ASSERT_GT(reg.read("pipeline.cycles").value, 0.0);
-  ASSERT_GT(reg.read("occupancy.iq").count, 0u);
+  ASSERT_GT(read("pipeline.cycles").value, 0.0);
+  ASSERT_GT(read("occupancy.iq").count, 0u);
   ASSERT_FALSE(pipe.interval_engine().records().empty());
   const std::uint64_t streamed_before_reset =
       pipe.interval_engine().captured_total();
@@ -403,7 +393,7 @@ TEST(PipelineObservability, WarmupNeverLeaksIntoPostResetMetrics) {
   EXPECT_EQ(pipe.interval_engine().captured_total(), streamed_before_reset);
 
   // Every counter-like metric in every group reads zero after the reset.
-  for (const MetricSnapshot& m : reg.snapshot()) {
+  for (const MetricSnapshot& m : pipe.metrics()) {
     if (m.kind == MetricKind::kCounter) {
       EXPECT_DOUBLE_EQ(m.value, 0.0) << m.name;
     } else if (m.kind == MetricKind::kRatio) {
@@ -418,11 +408,11 @@ TEST(PipelineObservability, WarmupNeverLeaksIntoPostResetMetrics) {
   // The measured window after the reset is self-consistent: the sampled
   // occupancy gauges saw exactly one sample per measured cycle.
   pipe.run(2'000);
-  EXPECT_EQ(reg.read("occupancy.iq").count, pipe.cycles());
-  EXPECT_EQ(reg.read("occupancy.rob.0").count, pipe.cycles());
-  EXPECT_DOUBLE_EQ(reg.read("pipeline.cycles").value,
+  EXPECT_EQ(read("occupancy.iq").count, pipe.cycles());
+  EXPECT_EQ(read("occupancy.rob.0").count, pipe.cycles());
+  EXPECT_DOUBLE_EQ(read("pipeline.cycles").value,
                    static_cast<double>(pipe.cycles()));
-  EXPECT_GT(reg.read("pipeline.committed").value, 0.0);
+  EXPECT_GT(read("pipeline.committed").value, 0.0);
 }
 
 }  // namespace
