@@ -33,25 +33,6 @@ void Rng::reseed(std::uint64_t seed) noexcept {
   }
 }
 
-
-
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) noexcept {
-  MSIM_CHECK(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-
-
-
-
-Rng Rng::split() noexcept {
-  Rng child;
-  // Derive the child deterministically from our own stream.
-  child.reseed(next_u64());
-  return child;
-}
-
 std::uint64_t derive_stream_seed(std::uint64_t base, std::string_view tag,
                                  std::uint64_t salt0, std::uint64_t salt1) noexcept {
   // FNV-1a over the tag bytes, then fold each ingredient through the

@@ -52,7 +52,7 @@ class Rng {
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t next_below(std::uint64_t bound) noexcept {
+  std::uint64_t next_below(std::uint64_t bound) {
     MSIM_CHECK(bound > 0);
     // Lemire's nearly-divisionless unbiased bounded generation.
     std::uint64_t x = next_u64();
@@ -69,9 +69,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double next_double() noexcept {
     // 53 high bits -> double in [0, 1).
@@ -87,7 +84,7 @@ class Rng {
 
   /// Geometric sample: number of failures before the first success with
   /// per-trial success probability `p` in (0, 1].  Mean = (1-p)/p.
-  std::uint64_t next_geometric(double p) noexcept {
+  std::uint64_t next_geometric(double p) {
     MSIM_CHECK(p > 0.0 && p <= 1.0);
     if (p >= 1.0) return 0;
     if (p != geom_p_) {
@@ -100,7 +97,7 @@ class Rng {
 
   /// Samples an index from a discrete distribution given cumulative weights.
   /// `cumulative` must be non-empty and non-decreasing with a positive back().
-  std::size_t next_index(std::span<const double> cumulative) noexcept {
+  std::size_t next_index(std::span<const double> cumulative) {
     MSIM_CHECK(!cumulative.empty());
     const double total = cumulative.back();
     MSIM_CHECK(total > 0.0);
@@ -110,10 +107,6 @@ class Rng {
     }
     return cumulative.size() - 1;
   }
-
-  /// Splits off an independent generator, e.g. one per thread context.
-  /// Derived from the current state, so the split sequence is deterministic.
-  Rng split() noexcept;
 
   /// Checkpoint support: serializes the four state words verbatim, so a
   /// restored generator continues the exact output sequence.

@@ -76,7 +76,7 @@ std::uint32_t IssueQueue::dispatch(const SchedInst& inst,
   return slot;
 }
 
-void IssueQueue::broadcast(PhysReg tag) noexcept {
+void IssueQueue::broadcast(PhysReg tag) {
   ++stats_.broadcasts;
   // Every comparator of an occupied entry observes the broadcast; that is
   // the CAM energy the reduced-tag designs halve.  The sum over occupied
@@ -137,7 +137,7 @@ bool IssueQueue::ready(std::uint32_t slot) const {
   return pending_[slot] == 0;
 }
 
-void IssueQueue::release_slot(std::uint32_t slot) noexcept {
+void IssueQueue::release_slot(std::uint32_t slot) {
   valid_[slot] = 0;
   // Invalidate every wakeup-list and ready-set node parked for this
   // occupancy; they are skipped lazily wherever encountered.
@@ -158,7 +158,7 @@ void IssueQueue::issue(std::uint32_t slot, Cycle now) {
   release_slot(slot);
 }
 
-void IssueQueue::squash_younger(ThreadId tid, SeqNum after_seq) noexcept {
+void IssueQueue::squash_younger(ThreadId tid, SeqNum after_seq) {
   for (std::uint32_t i = 0; i < capacity_; ++i) {
     if (valid_[i] && inst_[i].tid == tid && inst_[i].seq > after_seq) {
       release_slot(i);

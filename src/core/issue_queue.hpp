@@ -136,7 +136,7 @@ class IssueQueue {
 
   /// Tag broadcast: wakes every entry waiting on `tag` and accounts the
   /// CAM activity of the modeled full-queue comparator scan.
-  void broadcast(PhysReg tag) noexcept;
+  void broadcast(PhysReg tag);
 
   /// Appends the slots of all ready (fully woken) entries, ordered oldest
   /// dispatch first, to `out`.  Idempotent within a cycle.
@@ -151,7 +151,7 @@ class IssueQueue {
 
   /// Removes every entry of `tid` younger than `after_seq` (partial squash,
   /// used by the FLUSH fetch policy).  Residency is not recorded.
-  void squash_younger(ThreadId tid, SeqNum after_seq) noexcept;
+  void squash_younger(ThreadId tid, SeqNum after_seq);
 
   /// Squashes every entry (watchdog flush).  Residency is not recorded.
   void clear() noexcept;
@@ -184,7 +184,7 @@ class IssueQueue {
     std::uint32_t gen;
   };
 
-  void release_slot(std::uint32_t slot) noexcept;
+  void release_slot(std::uint32_t slot);
   void mark_ready(std::uint32_t slot) noexcept;
 
   IqLayout layout_;
