@@ -49,11 +49,6 @@ std::uint64_t ProgressBus::published(ProgressKind kind) const {
   return counts_[static_cast<std::size_t>(kind)];
 }
 
-void ProgressBus::reset_counters() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  counts_.fill(0);
-}
-
 std::string JsonlProgressSink::format(const ProgressEvent& e) {
   std::ostringstream os;
   JsonWriter w(os, 0);

@@ -77,9 +77,6 @@ class ProgressBus {
   [[nodiscard]] std::uint64_t published() const;
   [[nodiscard]] std::uint64_t published(ProgressKind kind) const;
 
-  /// Zeroes the publish counters (the sinks' output is not retractable).
-  void reset_counters();
-
  private:
   mutable std::mutex mu_;
   std::vector<ProgressSink*> sinks_;

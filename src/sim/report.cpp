@@ -44,29 +44,6 @@ TextTable figure_table(const std::vector<SweepCell>& cells,
   return table;
 }
 
-TextTable mix_table(const SweepCell& cell) {
-  TextTable table({"mix", "throughput_ipc", "fairness", "all_stall_frac",
-                   "iq_residency"});
-  for (const MixResult& m : cell.mixes) {
-    table.begin_row();
-    if (!m.ok) {
-      // A mix that failed every isolated attempt has no numbers to show.
-      table.add_cell(m.mix_name + " [FAILED]");
-      table.add_cell("-");
-      table.add_cell("-");
-      table.add_cell("-");
-      table.add_cell("-");
-      continue;
-    }
-    table.add_cell(m.mix_name);
-    table.add_cell(m.throughput_ipc, 3);
-    table.add_cell(m.fairness, 3);
-    table.add_cell(m.raw.dispatch.all_stall_fraction(), 3);
-    table.add_cell(m.raw.iq.mean_residency(), 1);
-  }
-  return table;
-}
-
 void write_run_json(std::ostream& os, const RunConfig& config,
                     const RunResult& result, int indent) {
   JsonWriter w(os, indent);

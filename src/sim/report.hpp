@@ -30,9 +30,6 @@ enum class FigureMetric {
                                      std::span<const std::uint32_t> iq_sizes,
                                      FigureMetric metric);
 
-/// Per-mix drill-down for one (kind, IQ) cell: one row per workload mix.
-[[nodiscard]] TextTable mix_table(const SweepCell& cell);
-
 /// One run as a JSON document: the resolved configuration, headline results
 /// and the full metric-registry snapshot.
 void write_run_json(std::ostream& os, const RunConfig& config,
@@ -40,7 +37,7 @@ void write_run_json(std::ostream& os, const RunConfig& config,
 
 /// A sweep grid as a JSON document: one record per (kind, IQ) cell with its
 /// aggregates and a per-mix drill-down — the machine-readable counterpart of
-/// figure_table + mix_table.
+/// figure_table.
 void write_sweep_json(std::ostream& os, const std::vector<SweepCell>& cells,
                       int indent = 2);
 

@@ -70,17 +70,5 @@ TEST(FigureTable, OneRowPerIqSize) {
   EXPECT_EQ(t.row_count(), 3u);
 }
 
-TEST(MixTable, OneRowPerMix) {
-  SweepCell c = cell(core::SchedulerKind::kTwoOpBlock, 64, 1.0, 1.0);
-  MixResult m;
-  m.mix_name = "2T-mix1";
-  m.throughput_ipc = 0.8;
-  m.fairness = 0.6;
-  c.mixes = {m, m, m};
-  const TextTable t = mix_table(c);
-  EXPECT_EQ(t.row_count(), 3u);
-  EXPECT_NE(t.to_csv().find("2T-mix1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace msim::sim
