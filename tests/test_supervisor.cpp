@@ -678,6 +678,17 @@ TEST(ProcessSweep, WorkersNeverWaitOnABaselineAnotherThreadIsComputing) {
   req.cell_timeout_ms = 3000;
   obs::ProgressBus bus;
   req.progress_bus = &bus;
+  // Keeps each death's diagnosis, so a failure names what killed the
+  // worker: the heartbeat timeout, the cell budget or a signal.
+  struct DeathLog final : obs::ProgressSink {
+    void on_event(const obs::ProgressEvent& e) override {
+      if (e.kind == obs::ProgressKind::kWorkerDeath) {
+        causes += e.label + ": " + e.detail + "; ";
+      }
+    }
+    std::string causes;
+  } deaths;
+  bus.subscribe(&deaths);
   sim::BaselineCache baselines(req.base);
   // Another job sharing the cache (a served thread sweep in the same pool
   // entry) still has equake's baseline in flight when the workers fork.
@@ -687,7 +698,7 @@ TEST(ProcessSweep, WorkersNeverWaitOnABaselineAnotherThreadIsComputing) {
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   const auto cells = run_sweep(req, baselines);
   other.join();
-  EXPECT_EQ(bus.published(obs::ProgressKind::kWorkerDeath), 0u);
+  EXPECT_EQ(bus.published(obs::ProgressKind::kWorkerDeath), 0u) << deaths.causes;
   EXPECT_TRUE(sim::sweep_failures(cells).empty());
   EXPECT_EQ(thread_json, sweep_json_of(cells));
 }
