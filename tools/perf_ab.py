@@ -12,10 +12,18 @@ untimed first run per side does the build.  Both sides use the same
 For every metric the report gives each side's median and quartiles, the
 ratio of the medians (change / base) and the change's wins: pairs where it
 beat the base in the metric's direction from BENCHMARK.json, ties counting
-for neither.  A gain holds when the change wins at least nine tenths of the
-pairs and the medians differ by more than the base's interquartile range;
-the verdict column says so for the end-to-end metrics.  Every run must
-report "correct": true with no failed operation, or the script exits 1.
+for neither.  Each end-to-end metric gets two verdicts:
+
+- gain: the change wins at least nine tenths of the pairs and the medians
+  differ by more than the base's interquartile range.
+- no regression, against the metric's `bound` from BENCHMARK.json taken as
+  a share of the base median: "worse" when the change's median is worse
+  than the base's by more than that share; "unresolved" when the base's
+  interquartile range exceeds that share and not every change run beats
+  every base run; "within bound" otherwise.
+
+Every run must report "correct": true with no failed operation, or the
+script exits 1.
 --json PATH writes every run's result line as well.
 """
 import argparse
@@ -39,14 +47,15 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def directions(checkout):
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+    """Metric name -> "lower" or "higher", and end-to-end metric name ->
+    its no-regression bound, from BENCHMARK.json."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
         bench = json.load(f)
     out = {}
     for group in ("end_to_end", "per_layer"):
         for m in bench.get(group, []):
             out[m["name"]] = m["better"]
-    return out, [m["name"] for m in bench.get("end_to_end", [])]
+    return out, {m["name"]: m["bound"] for m in bench.get("end_to_end", [])}
 
 
 def value_of(entry):
@@ -104,7 +113,8 @@ def report(workload, runs, better, end_to_end):
     names.sort(key=lambda n: (n not in end_to_end, n))
     pairs = len(runs["base"])
     print(f"\n{workload}: {pairs} pairs; median [q1, q3] per side, wins of {pairs}")
-    print(f"{'metric':32} {'base':>30} {'change':>30} {'ratio':>7} {'wins':>5}  verdict")
+    print(f"{'metric':32} {'base':>30} {'change':>30} {'ratio':>7} {'wins':>5}  "
+          f"{'gain':14} no regression")
     for name in names:
         base = [value_of(r["metrics"][name]) for r in runs["base"]]
         change = [value_of(r["metrics"][name]) for r in runs["change"]]
@@ -113,12 +123,26 @@ def report(workload, runs, better, end_to_end):
         b1, bm, b3 = quartiles(base)
         c1, cm, c3 = quartiles(change)
         ratio = cm / bm if bm else float("nan")
-        verdict = ""
+        gain = regression = ""
         if name in end_to_end:
-            gain = wins * 10 >= pairs * 9 and sign * (cm - bm) > b3 - b1
-            verdict = "gain" if gain else "no gain shown"
+            gained = wins * 10 >= pairs * 9 and sign * (cm - bm) > b3 - b1
+            gain = "gain" if gained else "no gain shown"
+            regression = no_regression(base, change, sign, end_to_end[name])
         print(f"{name:32} {fmt(bm, b1, b3):>30} {fmt(cm, c1, c3):>30} "
-              f"{ratio:7.3f} {wins:5d}  {verdict}")
+              f"{ratio:7.3f} {wins:5d}  {gain:14} {regression}")
+
+
+def no_regression(base, change, sign, bound):
+    """The no-regression verdict of one end-to-end metric (module doc)."""
+    b1, bm, b3 = quartiles(base)
+    cm = statistics.median(change)
+    share = bound * abs(bm)
+    if sign * (cm - bm) < -share:
+        return "worse"
+    every_run_better = min(sign * c for c in change) > max(sign * b for b in base)
+    if b3 - b1 > share and not every_run_better:
+        return "unresolved"
+    return "within bound"
 
 
 def fmt(median, q1, q3):
